@@ -12,7 +12,7 @@
  * current machine) and figures marked "volatile": true (wall-clock
  * harnesses such as bench_simrate) are ignored.
  *
- * Tolerance schema (documented in DESIGN.md §11): every numeric
+ * Tolerance schema (documented in DESIGN.md §10): every numeric
  * comparison passes when |cur - gold| <= abs OR the relative error
  * |cur - gold| / max(|gold|, tiny) <= relPct/100. Per-metric rules
  * (glob pattern on the metric path, first match wins) override the

@@ -5,7 +5,9 @@
  * prefetching is healthy (monte), with and without the engine, and
  * show the final metrics and throttle degrees per core.
  *
- * Set MTP_THROTTLE_TRACE=1 to stream the per-period decisions.
+ * To stream the per-period decisions as JSONL, run for example
+ * `mtp-sim --bench streamcluster --hw mthwp --throttle --events
+ * /dev/stderr` and keep the "throttle:update" lines.
  */
 
 #include <cstdio>

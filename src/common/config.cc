@@ -206,8 +206,6 @@ setters()
         U64_FIELD(maxCycles),
         U64_FIELD(seed),
         BOOL_FIELD(fastForward),
-        BOOL_FIELD(eventQueue),
-        UNSIGNED_FIELD(shards),
     };
     return table;
 }
@@ -268,10 +266,6 @@ SimConfig::validate() const
         MTP_FATAL("queue sizes must be > 0");
     if (icntCoresPerPort == 0)
         MTP_FATAL("icntCoresPerPort must be > 0");
-    if (shards == 0)
-        MTP_FATAL("shards must be >= 1");
-    if (shards > 1 && !(fastForward && eventQueue))
-        MTP_FATAL("shards > 1 requires fastForward and eventQueue");
 }
 
 void
@@ -337,9 +331,7 @@ SimConfig::dump(std::ostream &os) const
        << "perfectMemory = " << perfectMemory << '\n'
        << "maxCycles = " << maxCycles << '\n'
        << "seed = " << seed << '\n'
-       << "fastForward = " << fastForward << '\n'
-       << "eventQueue = " << eventQueue << '\n'
-       << "shards = " << shards << '\n';
+       << "fastForward = " << fastForward << '\n';
 }
 
 } // namespace mtp

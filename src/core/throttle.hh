@@ -61,9 +61,8 @@ class ThrottleEngine
 
     /**
      * Emit one trace event per period update to @p tracer (borrowed;
-     * may be null to detach). Replaces the old MTP_THROTTLE_TRACE
-     * stderr hook; the environment variable survives as an alias that
-     * routes this stream to stderr (see obs::throttleTraceEnvEnabled).
+     * may be null to detach). `mtp-sim --events FILE` streams these
+     * events as JSONL.
      */
     void
     setTrace(obs::TraceRecorder *tracer, CoreId core)

@@ -50,12 +50,6 @@ struct ObsConfig
     bool traceThrottle = false;
 
     /**
-     * MTP_THROTTLE_TRACE alias: mirror throttle period updates to
-     * stderr as JSONL (the legacy stderr hook's replacement).
-     */
-    bool throttleToStderr = false;
-
-    /**
      * Borrowed sink that additionally receives the sampler stream
      * (schema + rows). Only meaningful together with samplePeriod.
      * The Observer never owns or close()s it, and it must be
@@ -67,7 +61,7 @@ struct ObsConfig
     EventSink *forwardSink = nullptr;
 
     /**
-     * Merge host-profiler tracks (DESIGN.md §12) into this run's
+     * Merge host-profiler tracks (DESIGN.md §11) into this run's
      * event sinks at finish(): one Perfetto track per host thread
      * (real microseconds since the run's observer was created) plus a
      * `host.simCycle` clock-sync counter correlating host time with
@@ -88,7 +82,7 @@ struct ObsConfig
     wantsTracer() const
     {
         return !jsonlPath.empty() || !chromePath.empty() ||
-               traceLifecycle || traceThrottle || throttleToStderr;
+               traceLifecycle || traceThrottle;
     }
 
     /** True when a request-lifecycle stream is wanted. */
@@ -178,9 +172,6 @@ std::string perRunPath(const std::string &base, const std::string &runTag);
 std::vector<std::string>
 uniqueRunTags(const std::vector<std::string> &names,
               const std::vector<std::uint64_t> &fingerprints);
-
-/** The MTP_THROTTLE_TRACE env alias: set, non-empty, and not "0". */
-bool throttleTraceEnvEnabled();
 
 } // namespace obs
 } // namespace mtp

@@ -40,7 +40,7 @@ constexpr int trackForChannel(unsigned channel)
 constexpr int trackGlobal = 2000;
 
 /**
- * Host-thread tracks (DESIGN.md §12): one per profiled host thread,
+ * Host-thread tracks (DESIGN.md §11): one per profiled host thread,
  * plus a clock-sync track carrying `host.simCycle` counter samples
  * that correlate the host-time tracks (real microseconds since the
  * profiling window opened) with the sim tracks (one microsecond per

@@ -204,11 +204,14 @@ readKernel(std::istream &is, const std::string &source)
         } else {
             if (!seg)
                 MTP_FATAL(ctx, ": instruction outside a segment");
+            if ((cmd == "comp" || cmd == "load" || cmd == "store") &&
+                toks.size() < 2)
+                MTP_FATAL(ctx, ": '", cmd, "' needs an operand");
             StaticInst inst;
             std::size_t idx = 1;
             if (cmd == "comp") {
                 inst = StaticInst::comp(static_cast<unsigned>(
-                    parseNum(toks.at(1), ctx)));
+                    parseNum(toks[1], ctx)));
                 idx = 2;
                 if (idx + 2 <= toks.size()) {
                     inst.srcSlots = {
@@ -230,8 +233,7 @@ readKernel(std::istream &is, const std::string &source)
             } else if (cmd == "branch") {
                 inst = StaticInst::branch();
             } else if (cmd == "load") {
-                int dest = static_cast<int>(
-                    parseSigned(toks.at(1), ctx));
+                int dest = static_cast<int>(parseSigned(toks[1], ctx));
                 idx = 2;
                 AddressPattern p = parsePattern(toks, idx, ctx);
                 inst = StaticInst::load(p, dest);
@@ -248,8 +250,7 @@ readKernel(std::istream &is, const std::string &source)
                                   toks[idx], "'");
                 }
             } else if (cmd == "store") {
-                int src =
-                    static_cast<int>(parseSigned(toks.at(1), ctx));
+                int src = static_cast<int>(parseSigned(toks[1], ctx));
                 idx = 2;
                 AddressPattern p = parsePattern(toks, idx, ctx);
                 inst = StaticInst::store(p, src);

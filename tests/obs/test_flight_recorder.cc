@@ -1,6 +1,6 @@
 /**
  * @file
- * Flight recorder + watchdog tests (DESIGN.md §12):
+ * Flight recorder + watchdog tests (DESIGN.md §11):
  *
  *  - gauge pool lifecycle: acquire/set/add, JSONL dump, release makes
  *    the handle inert and frees the slot;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Host profiler unit + integration tests (DESIGN.md §12):
+ * Host profiler unit + integration tests (DESIGN.md §11):
  *
  *  - the self-time accounting identity: per thread, phase self-times
  *    sum *exactly* to activeNs, and wait-class spans land in waitNs;
@@ -12,7 +12,7 @@
  *    validates and carries the host-thread pids and the host.simCycle
  *    clock-sync counter;
  *  - profiling is observer-only: simulated results are bit-identical
- *    with --host-profile on or off, at shards 1 and 4.
+ *    with --host-profile on or off.
  */
 
 #include <gtest/gtest.h>
@@ -76,7 +76,7 @@ TEST(HostProfiler, NestedScopesObeySelfTimeIdentity)
 
     // All scopes closed before the snapshot, so the identity is exact:
     // the worker thread runs outer(RunTask){ self, mid(CoreTick){
-    // self, inner(MemTick) }, wait(BarrierWait) } and joins.
+    // self, inner(MemTick) }, wait(ExecWait) } and joins.
     std::thread worker([] {
         HostProfiler::nameThread("hp_nest");
         HostScope outer(HostPhase::RunTask);
@@ -90,7 +90,7 @@ TEST(HostProfiler, NestedScopesObeySelfTimeIdentity)
             }
         }
         {
-            HostScope wait(HostPhase::BarrierWait);
+            HostScope wait(HostPhase::ExecWait);
             busyLoop(1'000'000);
         }
     });
@@ -122,7 +122,7 @@ TEST(HostProfiler, NestedScopesObeySelfTimeIdentity)
     EXPECT_LT(phaseNs(*t, HostPhase::CoreTick), 4'000'000u);
 
     // Wait-class spans accrue to waitNs regardless of nesting.
-    EXPECT_EQ(t->waitNs, phaseNs(*t, HostPhase::BarrierWait));
+    EXPECT_EQ(t->waitNs, phaseNs(*t, HostPhase::ExecWait));
     EXPECT_GE(t->waitNs, 1'000'000u);
 
     HostProfiler::disable();
@@ -318,25 +318,22 @@ TEST(HostProfiler, MergedChromeTraceValidatesWithHostTracks)
 
 TEST(HostProfiler, ProfilingNeverPerturbsSimResults)
 {
-    for (unsigned shards : {1u, 4u}) {
-        HostProfiler::disable();
-        SimConfig cfg = test::tinyConfig();
-        cfg.hwPref = HwPrefKind::MTHWP;
-        cfg.throttleEnable = true;
-        cfg.shards = shards;
-        KernelDesc kernel = test::tinyStreamKernel(2, 6, 4);
+    HostProfiler::disable();
+    SimConfig cfg = test::tinyConfig();
+    cfg.hwPref = HwPrefKind::MTHWP;
+    cfg.throttleEnable = true;
+    KernelDesc kernel = test::tinyStreamKernel(2, 6, 4);
 
-        RunResult off = simulate(cfg, kernel);
-        obs::ObsConfig ocfg;
-        ocfg.hostProfile = true;
-        RunResult on = simulate(cfg, kernel, ocfg);
-        HostProfiler::disable();
+    RunResult off = simulate(cfg, kernel);
+    obs::ObsConfig ocfg;
+    ocfg.hostProfile = true;
+    RunResult on = simulate(cfg, kernel, ocfg);
+    HostProfiler::disable();
 
-        std::ostringstream a, b;
-        off.stats.dumpText(a);
-        on.stats.dumpText(b);
-        EXPECT_EQ(a.str(), b.str()) << "shards=" << shards;
-    }
+    std::ostringstream a, b;
+    off.stats.dumpText(a);
+    on.stats.dumpText(b);
+    EXPECT_EQ(a.str(), b.str());
 }
 
 } // namespace

@@ -13,8 +13,8 @@
  *  - a Chrome trace generated through the same path as `mtp-sim
  *    --trace-out` validates against the trace-event schema, and a
  *    JSONL stream parses line by line;
- *  - the legacy MTP_THROTTLE_TRACE stderr hook's replacement emits
- *    throttle events through the sink API.
+ *  - throttle period updates (what `mtp-sim --events` streams) flow
+ *    through the sink API.
  */
 
 #include <gtest/gtest.h>

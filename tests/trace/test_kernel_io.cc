@@ -127,6 +127,26 @@ TEST(KernelIo, ParsesHandWrittenDescription)
     EXPECT_EQ(k.warpInstsPerWarp(), 3u * 7u + 1u);
 }
 
+/**
+ * A comp/load/store line whose operand is missing (here commented out)
+ * must stop with a located parse error and exit status 1, not abort on
+ * an out-of-range token access.
+ */
+TEST(KernelIo, MissingOperandIsALocatedError)
+{
+    for (const char *directive : {"comp", "load", "store"}) {
+        std::stringstream ss;
+        ss << "kernel bad\n"
+              "grid 1 1 1\n"
+              "segment 1\n"
+           << directive << " # 0x620000000 4 0 4\n"
+           << "end\n";
+        EXPECT_EXIT(readKernel(ss, "bad.kernel"),
+                    ::testing::ExitedWithCode(1), "bad\\.kernel:4")
+            << directive;
+    }
+}
+
 TEST(KernelIo, FlagsRoundTrip)
 {
     KernelDesc k = test::tinyStreamKernel(1, 1, 2, 1);

@@ -18,10 +18,10 @@
  *   mtp-report campaign diff <golden.json> <current.json> [--gate]
  *       [--tol-rel <pct>] [--tol-abs <v>] [--tol <pattern>=<pct>]...
  *       figure-drift check against a golden snapshot under the
- *       per-metric tolerance schema (DESIGN.md §11); --gate makes
+ *       per-metric tolerance schema (DESIGN.md §10); --gate makes
  *       drift exit 1
  *   mtp-report host <host.jsonl>
- *       host-profiler report (DESIGN.md §12): per-worker busy/wait/
+ *       host-profiler report (DESIGN.md §11): per-worker busy/wait/
  *       idle fractions of the profiling window plus a self-time phase
  *       table, from the JSONL written by --host-profile
  *   --jsonl <events.jsonl>   attach a sampled time-series summary
@@ -230,44 +230,6 @@ printScheduler(const std::vector<Run> &runs)
     row("horizon hit rate", [&](const Run &r) {
         double hits = r.getOr("sim.sched.horizonHits", 0.0);
         return pct(hits, hits + r.getOr("sim.sched.horizonMisses", 0.0));
-    });
-    // Epoch-sharded runs (shards > 1) carry barrier counters; serial
-    // runs and older stats files don't, so the rows print only when at
-    // least one run was sharded.
-    bool sharded = false;
-    for (const auto &run : runs)
-        sharded = sharded || run.getOr("sim.sched.shards", 1.0) > 1.0;
-    if (!sharded)
-        return;
-    row("shards", [&](const Run &r) {
-        return count(r.getOr("sim.sched.shards", 1.0));
-    });
-    row("barrier epochs", [&](const Run &r) {
-        return count(r.getOr("sim.sched.barrierEpochs", 0.0));
-    });
-    row("epoch cycles", [&](const Run &r) {
-        char buf[48];
-        std::snprintf(buf, sizeof buf, "%.1f mean / %.0f max",
-                      r.getOr("sim.sched.barrierEpochCyclesMean", 0.0),
-                      r.getOr("sim.sched.barrierEpochCyclesMax", 0.0));
-        return std::string(buf);
-    });
-    row("barrier wait", [&](const Run &r) {
-        // Coordinator vs. the worst worker, in milliseconds blocked.
-        double coord =
-            r.getOr("sim.sched.barrierWaitNs.coordinator", 0.0);
-        double worst = 0.0;
-        for (unsigned s = 1;; ++s) {
-            std::string key =
-                "sim.sched.barrierWaitNs.shard" + std::to_string(s);
-            if (!r.stats.count(key))
-                break;
-            worst = std::max(worst, r.getOr(key, 0.0));
-        }
-        char buf[48];
-        std::snprintf(buf, sizeof buf, "%.1f/%.1f ms", coord / 1e6,
-                      worst / 1e6);
-        return std::string(buf);
     });
 }
 
@@ -588,7 +550,7 @@ summarizeJsonl(const std::string &path)
 
 /**
  * `host`: render a host-profile JSONL artifact (mtp-sim/mtp-campaign
- * --host-profile, DESIGN.md §12) as per-worker utilization and a
+ * --host-profile, DESIGN.md §11) as per-worker utilization and a
  * phase table. Per thread over the profiling window W:
  * busy = active - wait, wait = wait, idle = W - active — the three
  * fractions sum to 100% (up to scopes still open at snapshot time).
@@ -684,7 +646,7 @@ reportHost(const std::string &path)
     }
 
     // Aggregate phase table: self time summed over threads. The busy
-    // total equals sum(active - wait) by the §12 accounting identity.
+    // total equals sum(active - wait) by the §11 accounting identity.
     std::map<std::string, double> phaseTotals;
     double activeTotal = 0.0;
     for (const auto &t : threads) {
@@ -724,7 +686,7 @@ usage(const char *argv0)
         "      [--tol-abs v] [--tol pattern=pct]... figure-drift check\n"
         "  host <host.jsonl>                   host-profiler report\n"
         "      (per-worker busy/wait/idle, phase table; written by\n"
-        "       mtp-sim/mtp-campaign --host-profile, DESIGN.md §12)\n"
+        "       mtp-sim/mtp-campaign --host-profile, DESIGN.md §11)\n"
         "  any mode: --jsonl <events.jsonl>    time-series summary\n"
         "Inputs are mtp-sim artifacts (--stats <f> --json, --events "
         "<f>)\nor mtp-campaign manifests.\n",
