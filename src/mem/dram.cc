@@ -35,6 +35,7 @@ DramChannel::DramChannel(const SimConfig &cfg, unsigned channelId)
 {
     MTP_ASSERT(blocksPerRow_ > 0, "row smaller than a block");
     MTP_ASSERT(burst_ > 0, "bus wider than a block");
+    buffer_.reserve(bufEntries_);
 }
 
 DramCoord
@@ -53,31 +54,27 @@ bool
 DramChannel::insert(MemRequest &&req)
 {
     ++stateVersion_;
-    if (bufferedByAddr_.count(req.addr)) {
-        for (auto &queued : buffer_) {
-            if (queued.addr == req.addr &&
-                MemRequest::mergeable(queued.type, req.type)) {
-                queued.mergeFrom(std::move(req));
-                ++counters_.interCoreMerges;
-                return true;
-            }
+    for (auto &queued : buffer_) {
+        if (queued.req.addr == req.addr &&
+            MemRequest::mergeable(queued.req.type, req.type)) {
+            queued.req.mergeFrom(std::move(req));
+            ++counters_.interCoreMerges;
+            return true;
         }
     }
     MTP_ASSERT(!bufferFull(), "insert() into a full DRAM request buffer");
-    ++bufferedByAddr_[req.addr];
-    ++bankPending_[mapAddr(req.addr).bank];
-    buffer_.push_back(std::move(req));
+    DramCoord c = mapAddr(req.addr);
+    ++bankPending_[c.bank];
+    buffer_.push_back({std::move(req), c.bank, c.row});
     return false;
 }
 
 bool
 DramChannel::upgradeToDemand(Addr addr)
 {
-    if (!bufferedByAddr_.count(addr))
-        return false;
-    for (auto &req : buffer_) {
-        if (req.addr == addr && isPrefetch(req.type)) {
-            req.type = ReqType::DemandLoad;
+    for (auto &queued : buffer_) {
+        if (queued.req.addr == addr && isPrefetch(queued.req.type)) {
+            queued.req.type = ReqType::DemandLoad;
             return true;
         }
     }
@@ -103,10 +100,10 @@ DramChannel::nextEventAt(Cycle now) const
     Cycle scan = invalidCycle;
     for (const auto &svc : inService_)
         scan = std::min(scan, svc.doneAt);
-    for (const auto &req : buffer_)
-        scan = std::min(scan,
-                        std::max(now,
-                                 banks_[mapAddr(req.addr).bank].busyUntil));
+    for (const auto &queued : buffer_)
+        scan = std::min(
+            scan,
+            std::max(now, banks_[mapAddr(queued.req.addr).bank].busyUntil));
     MTP_ASSERT(std::max(e, now) == std::max(scan, now),
                "per-bank event bound disagrees with exhaustive scan");
 #endif
@@ -129,27 +126,60 @@ DramChannel::pickRequest(Cycle now) const
     // remember, per priority class, the first row-hit and the first
     // schedulable request. Demand row-hit > demand > prefetch row-hit >
     // prefetch (Table II: demand has higher priority than prefetch).
+    // The first class-0 row hit outranks everything, so the walk stops
+    // there; and with no free bank holding buffered work (a channel
+    // tick that only retires a transfer) there is nothing to walk.
     int best_hit[2] = {-1, -1};  // [0]: demand, [1]: prefetch
     int best_any[2] = {-1, -1};
+    bool bank_ready = false;
+    for (unsigned b = 0; b < numBanks_; ++b)
+        bank_ready |= bankPending_[b] > 0 && banks_[b].busyUntil <= now;
+    for (int i = 0; bank_ready && i < static_cast<int>(buffer_.size());
+         ++i) {
+        const Buffered &queued = buffer_[i];
+        const Bank &bank = banks_[queued.bank];
+        if (bank.busyUntil > now)
+            continue;
+        int cls = (demandPriority_ && isPrefetch(queued.req.type)) ? 1 : 0;
+        if (bank.openRow == queued.row) {
+            if (cls == 0) {
+                best_hit[0] = i;
+                break;
+            }
+            if (best_hit[1] < 0)
+                best_hit[1] = i;
+        }
+        if (best_any[cls] < 0)
+            best_any[cls] = i;
+    }
+    int pick = -1;
+    for (int cls = 0; cls < 2 && pick < 0; ++cls)
+        pick = best_hit[cls] >= 0 ? best_hit[cls] : best_any[cls];
+#if MTP_SLOW_CHECKS
+    // The exhaustive walk: every entry, every address re-decoded.
+    int scan_hit[2] = {-1, -1};
+    int scan_any[2] = {-1, -1};
     for (int i = 0; i < static_cast<int>(buffer_.size()); ++i) {
-        const MemRequest &req = buffer_[i];
+        const MemRequest &req = buffer_[i].req;
         DramCoord c = mapAddr(req.addr);
+        MTP_ASSERT(c.bank == buffer_[i].bank && c.row == buffer_[i].row,
+                   "stored DRAM coordinates disagree with mapAddr()");
         const Bank &bank = banks_[c.bank];
         if (bank.busyUntil > now)
             continue;
         int cls = (demandPriority_ && isPrefetch(req.type)) ? 1 : 0;
-        if (best_any[cls] < 0)
-            best_any[cls] = i;
-        if (best_hit[cls] < 0 && bank.openRow == c.row)
-            best_hit[cls] = i;
+        if (scan_any[cls] < 0)
+            scan_any[cls] = i;
+        if (scan_hit[cls] < 0 && bank.openRow == c.row)
+            scan_hit[cls] = i;
     }
-    for (int cls = 0; cls < 2; ++cls) {
-        if (best_hit[cls] >= 0)
-            return best_hit[cls];
-        if (best_any[cls] >= 0)
-            return best_any[cls];
-    }
-    return -1;
+    int scan = -1;
+    for (int cls = 0; cls < 2 && scan < 0; ++cls)
+        scan = scan_hit[cls] >= 0 ? scan_hit[cls] : scan_any[cls];
+    MTP_ASSERT(pick == scan,
+               "FR-FCFS pick disagrees with the exhaustive walk");
+#endif
+    return pick;
 }
 
 void
@@ -183,18 +213,14 @@ DramChannel::tick(Cycle now, std::vector<MemRequest> &completed)
         return;
     ++stateVersion_;
 
-    MemRequest req = std::move(buffer_[pick]);
+    MemRequest req = std::move(buffer_[pick].req);
+    const unsigned bank_id = buffer_[pick].bank;
+    const std::uint64_t row = buffer_[pick].row;
     buffer_.erase(buffer_.begin() + pick);
-    auto by_addr = bufferedByAddr_.find(req.addr);
-    MTP_ASSERT(by_addr != bufferedByAddr_.end(),
-               "scheduled request missing from the address index");
-    if (--by_addr->second == 0)
-        bufferedByAddr_.erase(by_addr);
 
-    DramCoord c = mapAddr(req.addr);
-    MTP_ASSERT(bankPending_[c.bank] > 0, "bank pending-count underflow");
-    --bankPending_[c.bank];
-    Bank &bank = banks_[c.bank];
+    MTP_ASSERT(bankPending_[bank_id] > 0, "bank pending-count underflow");
+    --bankPending_[bank_id];
+    Bank &bank = banks_[bank_id];
 
     MTP_OBS_HOOK(tracer_,
                  stage(obs::Stage::DramSchedule, req.addr,
@@ -202,7 +228,7 @@ DramChannel::tick(Cycle now, std::vector<MemRequest> &completed)
                        channelId_, now));
 
     Cycle act_cost;
-    if (bank.openRow == c.row) {
+    if (bank.openRow == row) {
         act_cost = 0;
         ++counters_.rowHits;
     } else if (bank.openRow == noRow) {
@@ -219,7 +245,7 @@ DramChannel::tick(Cycle now, std::vector<MemRequest> &completed)
     Cycle burst = std::max<Cycle>(1, burst_ * req.bytes / blockBytes);
     Cycle done = data_start + burst;
 
-    bank.openRow = c.row;
+    bank.openRow = row;
     bank.busyUntil = done;
     busFreeAt_ = done;
 

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <deque>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/config.hh"
@@ -134,6 +133,17 @@ class DramChannel
         Cycle busyUntil = 0;
     };
 
+    /**
+     * A buffered request with its coordinates, decoded once at
+     * insert() so the per-cycle scheduler walk does no divisions.
+     */
+    struct Buffered
+    {
+        MemRequest req;
+        unsigned bank;
+        std::uint64_t row;
+    };
+
     /** A scheduled request waiting for its data transfer to finish. */
     struct InService
     {
@@ -141,7 +151,11 @@ class DramChannel
         Cycle doneAt;
     };
 
-    /** Index of the best schedulable request, or -1. */
+    /**
+     * Index of the best schedulable request, or -1. Under
+     * MTP_SLOW_CHECKS the pick is cross-checked against an exhaustive
+     * walk that re-decodes every address with mapAddr().
+     */
     int pickRequest(Cycle now) const;
 
     unsigned channelId_;
@@ -156,16 +170,13 @@ class DramChannel
     Cycle burst_;
     Cycle extraLatency_;
 
-    std::deque<MemRequest> buffer_;
-    /**
-     * Buffered requests per block address. Lets insert() and
-     * upgradeToDemand() skip the O(buffer) walk in the common case of
-     * no same-block entry; the walk still resolves merge eligibility
-     * and ordering when the address is present.
-     */
-    std::unordered_map<Addr, unsigned> bufferedByAddr_;
+    /** Buffered requests, oldest first (at most bufEntries_). */
+    std::vector<Buffered> buffer_;
     std::vector<Bank> banks_;
-    /** Buffered requests per bank, for the O(banks) event bound. */
+    /**
+     * Buffered requests per bank, for the O(banks) event bound and the
+     * scheduler's no-free-bank early exit.
+     */
     std::vector<unsigned> bankPending_;
     std::vector<InService> inService_;
     /**

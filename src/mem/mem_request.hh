@@ -55,6 +55,7 @@ struct MemRequest
     Cycle created = 0;       //!< cycle the first transaction was issued
     std::uint16_t bytes = blockBytes; //!< transfer size (32 B segment or
                                       //!< full 64 B block)
+    unsigned channel = 0; //!< DRAM channel (set by MemSystem::issue)
 
     /** Cores that must receive the completion (inter-core merge adds). */
     std::vector<CoreId> sharers;

@@ -55,8 +55,11 @@ MemSystem::issue(CoreId core, Addr blockAddr, ReqType type, Cycle now,
     MTP_ASSERT(core < numCores_, "issue() from unknown core ", core);
     MTP_ASSERT(blockAlign(blockAddr) == blockAddr,
                "issue() address not block aligned");
-    bool pushed = mrqs_[core]->push(
-        MemRequest::make(blockAddr, type, core, now, bytes));
+    MemRequest req = MemRequest::make(blockAddr, type, core, now, bytes);
+    // Decoded once here; injection arbitration reads it every cycle the
+    // request waits at the head of its MRQ.
+    req.channel = channelOf(blockAddr);
+    bool pushed = mrqs_[core]->push(std::move(req));
     if (pushed) {
         ++inTransit_;
         ++mrqOccupancy_;
@@ -87,7 +90,7 @@ MemSystem::injectFromPort(unsigned port, Cycle now)
         Mrq &mrq = *mrqs_[core];
         if (mrq.empty())
             continue;
-        unsigned ch = channelOf(mrq.head().addr);
+        unsigned ch = mrq.head().channel;
         // Credit-based gating: never put more requests in flight than
         // the controller buffer can eventually hold.
         if (channels_[ch]->bufferOccupancy() + inFlightToChannel_[ch] >=
@@ -177,7 +180,7 @@ MemSystem::deliverResponses(Cycle now)
                 const MemRequest &resp = completions_[core].back();
                 tracer_->stage(obs::Stage::Return, resp.addr,
                                static_cast<std::uint8_t>(resp.type),
-                               core, channelOf(resp.addr), now);
+                               core, resp.channel, now);
             }
 #endif
         }

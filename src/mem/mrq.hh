@@ -2,8 +2,9 @@
  * @file
  * Per-core Memory Request Queue (Fig. 1). Same-block deduplication is
  * handled upstream by the core's MSHR file, so the MRQ is a bounded
- * queue whose drain order gives demands priority over prefetches
- * (Table II: demand requests have higher priority throughout).
+ * FIFO. Demand-over-prefetch priority (Table II) is applied at the
+ * DRAM controller, not here: a queued prefetch delays every later
+ * demand of its core, the effect Sec. IV-B describes.
  */
 
 #ifndef MTP_MEM_MRQ_HH
@@ -18,7 +19,7 @@
 
 namespace mtp {
 
-/** Bounded, demand-first memory request queue. */
+/** Bounded FIFO memory request queue. */
 class Mrq
 {
   public:
@@ -42,17 +43,18 @@ class Mrq
     bool push(MemRequest &&req);
 
     /**
-     * Next request to inject: the oldest demand if any, else the oldest
+     * Next request to inject: the oldest queued request, demand or
      * prefetch. Queue must not be empty.
      */
     const MemRequest &head() const;
 
-    /** Remove and return the request head() designates. */
+    /** Remove and return head(). */
     MemRequest pop();
 
     /**
-     * Promote a queued prefetch of @p addr to demand priority (a demand
-     * just merged with it in the MSHR). No-op if not queued.
+     * Promote a queued prefetch of @p addr to demand priority at the
+     * DRAM controller (a demand just merged with it in the MSHR); its
+     * queue position is unchanged. No-op if not queued.
      * @return true if a request was upgraded.
      */
     bool upgradeToDemand(Addr addr);
@@ -71,9 +73,6 @@ class Mrq
     void exportStats(StatSet &set, const std::string &prefix) const;
 
   private:
-    /** Index of the request head()/pop() select. */
-    std::size_t headIndex() const;
-
     unsigned capacity_;
     std::deque<MemRequest> queue_;
     Counters counters_;

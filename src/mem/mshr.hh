@@ -102,8 +102,8 @@ class Mshr
      */
     Entry retire(Addr addr);
 
-    /** Record a stall caused by MSHR exhaustion. */
-    void noteFullStall() { ++counters_.fullStalls; }
+    /** Record @p n stall cycles caused by MSHR exhaustion. */
+    void noteFullStall(std::uint64_t n = 1) { counters_.fullStalls += n; }
 
     const Counters &counters() const { return counters_; }
 

@@ -46,6 +46,13 @@ class PrefetchCache
      */
     bool demandAccess(Addr addr, bool *firstUse = nullptr);
 
+    /**
+     * Count @p n demand lookups of a block known to be absent: the
+     * retries of an LSU parked on a full MSHR, which would each have
+     * missed. A miss changes nothing else (no LRU touch).
+     */
+    void noteDemandMisses(std::uint64_t n) { counters_.demandMisses += n; }
+
     /** @return true iff the block is resident (no state change). */
     bool contains(Addr addr) const { return cache_.contains(addr); }
 

@@ -497,12 +497,22 @@ Core::retireWarps()
     });
 }
 
+bool
+Core::lsuParked() const
+{
+    return lsu_.valid && lsuBlock_ == LsuBlock::MshrFull;
+}
+
 Cycle
 Core::nextEventAt(Cycle now) const
 {
-    // A pending LSU operation retries every cycle (and a full MSHR
-    // counts a stall per retry cycle): never skip past it.
-    if (lsu_.valid)
+    // A pending LSU operation retries every cycle: never skip past it,
+    // unless it is parked on a full MSHR. Then only a completion can
+    // free an entry (or fill the prefetch cache), completions wake the
+    // core through MemSystem::deliveredCores(), and every retry until
+    // then fails the same way — accountSkip() counts those in bulk.
+    const bool parked = lsuParked();
+    if (lsu_.valid && !parked)
         return now;
     Cycle e = invalidCycle;
     if (periodObservable_)
@@ -514,11 +524,16 @@ Core::nextEventAt(Cycle now) const
         // max(now, execBusyUntil_) pins the result to the floor
         // exactly (min_ready <= floor clamps the max to it), so the
         // word-at-a-time scan exits early on the first such warp —
-        // same return value as the exhaustive minimum.
+        // same return value as the exhaustive minimum. Behind a parked
+        // LSU, warps whose next instruction is a memory op cannot
+        // issue at all and are skipped.
         Cycle floor = std::max(now, execBusyUntil_);
         Cycle min_ready = invalidCycle;
         bool pinned = !issuable_.forEachSet([&](std::size_t idx) {
-            Cycle r = warps_[idx].readyAt;
+            const Warp &warp = warps_[idx];
+            if (parked && isMemOp(warp.cursor.inst().op))
+                return true;
+            Cycle r = warp.readyAt;
             if (r <= floor)
                 return false;
             if (r < min_ready)
@@ -646,17 +661,35 @@ Core::accountSkip(Cycle from, Cycle to)
 {
     MTP_ASSERT(to > from, "accountSkip() over an empty window");
     // The event horizon only skips windows in which this core is
-    // quiescent: a pending LSU op pins nextEventAt() to now, so the
-    // LSU categories (and issues) can only occur in stepped cycles,
-    // and the block reason was reset by the last stepped tick.
-    MTP_ASSERT(!lsu_.valid, "skipped a window with a pending LSU op");
-    MTP_ASSERT(lsuBlock_ == LsuBlock::None,
+    // quiescent or parked: any other pending LSU op pins nextEventAt()
+    // to now, so issues and the other LSU categories only occur in
+    // stepped cycles.
+    MTP_ASSERT(!lsu_.valid || lsuParked(),
+               "skipped a window with a pending LSU op");
+    MTP_ASSERT(lsu_.valid || lsuBlock_ == LsuBlock::None,
                "stale LSU block reason across a skip");
     const std::uint64_t len = to - from;
 #if MTP_SLOW_CHECKS
     const CycleBreakdown before = cycleCat_;
 #endif
-    if (activeWarpCount_ == 0) {
+    if (lsu_.valid) {
+        // Parked on a full MSHR: each cycle of the window is the failed
+        // retry the naive loop would have run — a prefetch-cache miss
+        // and an MSHR full stall on the blocked transaction — and a
+        // StallMshrFull cycle, since the LSU block outranks every
+        // scheduler-side reason and nextEventAt() kept issue out of the
+        // window.
+#if MTP_SLOW_CHECKS
+        Addr blocked = lsu_.txns[lsu_.next].addr;
+        MTP_ASSERT(lsu_.type == ReqType::DemandLoad && mshr_.full() &&
+                       !mshr_.find(blocked) &&
+                       !prefCache_.contains(blocked),
+                   "parked LSU op could make progress");
+#endif
+        prefCache_.noteDemandMisses(len);
+        mshr_.noteFullStall(len);
+        cycleCat_[static_cast<unsigned>(CycleCat::StallMshrFull)] += len;
+    } else if (activeWarpCount_ == 0) {
         cycleCat_[static_cast<unsigned>(CycleCat::IdleNoWarps)] += len;
     } else {
         // Exec-busy outranks the memory/operand waits in the per-cycle

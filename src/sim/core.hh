@@ -89,11 +89,14 @@ class Core
      * Earliest cycle >= @p now at which this core might change state on
      * its own: issue an instruction (execution unit free and an
      * issuable warp ready), or run an observable periodic update. A
-     * pending LSU operation pins the bound to @p now (stalled LSUs
-     * retry — and count MSHR-full stalls — every cycle). Memory
-     * completions wake the core through MemSystem::deliveredCores().
-     * Never later than the true next state change (the event-horizon
-     * contract).
+     * pending LSU operation pins the bound to @p now (it pushes one
+     * transaction per cycle, or retries a full MRQ), except a demand
+     * load parked on a full MSHR: only a completion can unblock it, so
+     * the bound stays the next period boundary or the earliest ready
+     * issuable warp whose next instruction is not a memory op (memory
+     * ops wait behind the LSU). Memory completions wake the core
+     * through MemSystem::deliveredCores(). Never later than the true
+     * next state change (the event-horizon contract).
      */
     Cycle nextEventAt(Cycle now) const;
 
@@ -103,12 +106,15 @@ class Core
     /**
      * Bulk-attribute the skipped window [@p from, @p to) to cycle
      * categories. Valid only for a window the event horizon skipped:
-     * the LSU is idle, the core state is frozen, and nextEventAt(from)
-     * >= @p to — so the window splits analytically into an exec-busy
-     * span followed by an operand/branch wait on the earliest-ready
-     * issuable warp (or is wholly idle / memory-stalled). Under
-     * MTP_SLOW_CHECKS the result is cross-checked against the naive
-     * per-cycle classifier.
+     * the core state is frozen and nextEventAt(from) >= @p to. With an
+     * idle LSU the window splits analytically into an exec-busy span
+     * followed by an operand/branch wait on the earliest-ready issuable
+     * warp (or is wholly idle / memory-stalled). With the LSU parked on
+     * a full MSHR every cycle is StallMshrFull, and the window also
+     * adds the counters each skipped retry would have bumped: MSHR
+     * fullStalls and prefetch-cache demandMisses. Under MTP_SLOW_CHECKS
+     * the result is cross-checked against the naive per-cycle
+     * classifier.
      */
     void accountSkip(Cycle from, Cycle to);
 
@@ -179,6 +185,12 @@ class Core
      */
     void refreshWarp(std::uint32_t idx);
 
+    /**
+     * True iff the pending LSU op is a demand load that the last tick
+     * found blocked on a full MSHR (see nextEventAt()).
+     */
+    bool lsuParked() const;
+
     /** Periodic throttle / feedback updates. */
     void periodUpdate(Cycle now);
 
@@ -201,9 +213,10 @@ class Core
     /**
      * Classify a cycle that issued nothing, from end-of-tick state.
      * Also the naive per-cycle oracle for accountSkip(): during a
-     * skipped window the LSU is idle and lsuBlock_ is None, so the
-     * same decision tree applies with only the time-dependent terms
-     * (execBusyUntil_, readyAt) varying across the window.
+     * skipped window lsuBlock_ keeps the last tick's value (None with
+     * an idle LSU, MshrFull with a parked one), so the same decision
+     * tree applies with only the time-dependent terms (execBusyUntil_,
+     * readyAt) varying across the window.
      */
     StallClass classifyStall(Cycle now) const;
 

@@ -99,6 +99,57 @@ TEST(Dram, DemandPriorityOverPrefetch)
               pos(ReqType::HwPrefetch, 0x10000));
 }
 
+/**
+ * One bank, one buffer holding every FR-FCFS class (Table II). With
+ * row R0 open, the buffer holds, oldest first: a prefetch to R2, a
+ * prefetch to R1, a prefetch hit on R0, a demand to R1 and a demand
+ * hit on R0. The bank serializes service, so completion order is pick
+ * order.
+ */
+std::vector<Addr>
+serviceOrder(bool demandPriority)
+{
+    SimConfig cfg = dramConfig();
+    cfg.demandPriority = demandPriority;
+    DramChannel ch(cfg, 0);
+    const Addr r0 = 0x0000, r1 = 0x1000, r2 = 0x2000;
+    for (Addr a : {r0, r1, r2})
+        EXPECT_EQ(ch.mapAddr(a).bank, 0u);
+    EXPECT_EQ(ch.mapAddr(r1).row, ch.mapAddr(r0).row + 1);
+    EXPECT_EQ(ch.mapAddr(r2).row, ch.mapAddr(r0).row + 2);
+
+    std::vector<MemRequest> done;
+    ch.insert(mk(r0)); // opens R0
+    Cycle t = runUntil(ch, 1, done);
+    done.clear();
+    ch.insert(mk(r2, ReqType::HwPrefetch));
+    ch.insert(mk(r1 + 0x40, ReqType::HwPrefetch));
+    ch.insert(mk(r0 + 0x80, ReqType::SwPrefetch));
+    ch.insert(mk(r1, ReqType::DemandLoad));
+    ch.insert(mk(r0 + 0x40, ReqType::DemandLoad));
+    runUntil(ch, 5, done, t);
+    std::vector<Addr> order;
+    for (const auto &req : done)
+        order.push_back(req.addr);
+    return order;
+}
+
+TEST(Dram, FrFcfsClassOrderWithDemandPriority)
+{
+    // Demand row hit first, then the demand miss over the prefetch row
+    // hit on R0; with R1 now open its prefetch hit beats the older R2
+    // prefetch, and the R0 prefetch goes last.
+    EXPECT_EQ(serviceOrder(true),
+              (std::vector<Addr>{0x0040, 0x1000, 0x1040, 0x2000, 0x0080}));
+}
+
+TEST(Dram, FrFcfsWithoutDemandPriorityIgnoresType)
+{
+    // One class: the oldest row hit, else the oldest request.
+    EXPECT_EQ(serviceOrder(false),
+              (std::vector<Addr>{0x0080, 0x0040, 0x2000, 0x1040, 0x1000}));
+}
+
 TEST(Dram, SparseBurstIsShorter)
 {
     SimConfig cfg = dramConfig();

@@ -60,6 +60,25 @@ expectBitIdentical(const RunResult &fast, const RunResult &naive,
     EXPECT_EQ(dumpStats(fast), dumpStats(naive)) << label;
 }
 
+/**
+ * Uncoalesced loads: every lane reads its own block, so one warp load
+ * is 32 transactions and two of them fill a 64-entry MSHR file. The
+ * cores spend most of the run with a demand load parked on a full
+ * MSHR, the state the event queue skips until a completion arrives.
+ */
+KernelDesc
+mshrBoundKernel()
+{
+    KernelDesc k = test::tinyStreamKernel(2, 4, 4, 2);
+    k.name = "tiny_uncoal";
+    for (StaticInst &inst : k.segments.front().insts) {
+        if (inst.op == Opcode::Load)
+            inst.pattern.threadStride = blockBytes;
+    }
+    k.finalize();
+    return k;
+}
+
 std::vector<std::pair<std::string, KernelDesc>>
 goldenKernels()
 {
@@ -76,6 +95,7 @@ goldenKernels()
         "swpref_mtswp",
         applySwPrefetch(test::tinyStreamKernel(2, 4, 6, 1),
                         SwPrefKind::StrideIP, SwPrefetchOptions{}));
+    kernels.emplace_back("mshr_bound", mshrBoundKernel());
     return kernels;
 }
 
@@ -186,6 +206,29 @@ TEST(FastForwardGolden, ThrottlePeriodBoundaries)
         expectBitIdentical(simulate(cfg, kernel), simulate(naive, kernel),
                            "period=" + std::to_string(period));
     }
+}
+
+/**
+ * Cores blocked on a full MSHR are parked, not ticked: the queued loop
+ * must stay bit-identical (including the MSHR full-stall and
+ * prefetch-cache miss counters its skipped retries would have bumped)
+ * while running well under half the naive loop's core ticks.
+ */
+TEST(FastForwardGolden, MshrBoundCoresParkUntilCompletion)
+{
+    KernelDesc kernel = mshrBoundKernel();
+    SimConfig queued = test::tinyConfig();
+    SimConfig naive = queued;
+    naive.fastForward = false;
+    RunResult fast = simulate(queued, kernel);
+    RunResult slow = simulate(naive, kernel);
+    expectBitIdentical(fast, slow, "mshr_bound");
+    EXPECT_GT(fast.stats.get("sim.cycles.stallMshrFull"), 0.0);
+    EXPECT_LT(2 * fast.sched.get("sim.sched.coreTicks"),
+              slow.sched.get("sim.sched.coreTicks"))
+        << "queued " << fast.sched.get("sim.sched.coreTicks")
+        << " vs naive " << slow.sched.get("sim.sched.coreTicks")
+        << " core ticks";
 }
 
 /**
