@@ -19,15 +19,18 @@ run(Runner &runner, const Options &opts)
     const unsigned degrees[] = {1, 2, 3, 4};
 
     // Submit the whole degree sweep up front so the runs overlap.
+    std::vector<MatrixRow> rows;
     for (const auto &name : names) {
         Workload w = Suite::get(name, opts.scaleDiv);
-        runner.submitBaseline(w);
+        MatrixRow row{name, w.info.type,
+                      runner.submit(baseConfig(opts), w.kernel), {}};
         for (unsigned d : degrees) {
             SimConfig cfg = baseConfig(opts);
             cfg.hwPref = HwPrefKind::MTHWP;
             cfg.prefDegree = d;
-            runner.submit(cfg, w.kernel);
+            row.runs.push_back(runner.submit(cfg, w.kernel));
         }
+        rows.push_back(std::move(row));
     }
 
     FigureResult out;
@@ -39,21 +42,15 @@ run(Runner &runner, const Options &opts)
         t.columns.push_back("early" + std::to_string(d));
     }
     std::vector<std::vector<double>> per_degree(4);
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        const RunResult &base = runner.baseline(w);
-        std::vector<Cell> row = {Cell::str(name)};
+    for (const MatrixRow &row : rows) {
+        std::vector<Cell> cells = {Cell::str(row.name)};
         for (unsigned i = 0; i < 4; ++i) {
-            SimConfig cfg = baseConfig(opts);
-            cfg.hwPref = HwPrefKind::MTHWP;
-            cfg.prefDegree = degrees[i];
-            const RunResult &r = runner.run(cfg, w.kernel);
-            double spd = static_cast<double>(base.cycles) / r.cycles;
+            double spd = speedup(row.base, row.runs[i]);
             per_degree[i].push_back(spd);
-            row.push_back(Cell::number(spd));
-            row.push_back(Cell::number(r.earlyRatio()));
+            cells.push_back(Cell::number(spd));
+            cells.push_back(Cell::number(row.runs[i].get().earlyRatio()));
         }
-        t.addRow(std::move(row));
+        t.addRow(std::move(cells));
     }
     out.tables.push_back(std::move(t));
     for (unsigned i = 0; i < 4; ++i)

@@ -28,18 +28,28 @@ run(Runner &runner, const Options &opts)
                                          "sepia"};
     auto names = selectBenchmarks(opts, fallback);
 
-    // Submit the whole matrix up front so the runs overlap.
+    // Submit the whole matrix up front so the runs overlap: per
+    // locality mode, the no-prefetch base and its MT-HWP run.
+    struct Row
+    {
+        std::string name;
+        RunFuture base[3];
+        RunFuture mthwp[3];
+    };
+    std::vector<Row> rows;
     for (const auto &name : names) {
         Workload w = Suite::get(name, opts.scaleDiv);
+        Row row{name, {}, {}};
         for (unsigned i = 0; i < 3; ++i) {
             SimConfig base_cfg = baseConfig(opts);
             base_cfg.dispatchContiguous = i != 1;
             base_cfg.schedGreedy = i != 2;
-            runner.submit(base_cfg, w.kernel);
+            row.base[i] = runner.submit(base_cfg, w.kernel);
             SimConfig cfg = base_cfg;
             cfg.hwPref = HwPrefKind::MTHWP;
-            runner.submit(cfg, w.kernel);
+            row.mthwp[i] = runner.submit(cfg, w.kernel);
         }
+        rows.push_back(std::move(row));
     }
 
     FigureResult out;
@@ -47,22 +57,14 @@ run(Runner &runner, const Options &opts)
     t.name = "locality";
     t.columns = {"bench", "contig", "rr-blocks", "rr-warps"};
     std::vector<double> g[3];
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        std::vector<Cell> row = {Cell::str(name)};
+    for (const Row &row : rows) {
+        std::vector<Cell> cells = {Cell::str(row.name)};
         for (unsigned i = 0; i < 3; ++i) {
-            SimConfig base_cfg = baseConfig(opts);
-            base_cfg.dispatchContiguous = i != 1;
-            base_cfg.schedGreedy = i != 2;
-            const RunResult &base = runner.run(base_cfg, w.kernel);
-            SimConfig cfg = base_cfg;
-            cfg.hwPref = HwPrefKind::MTHWP;
-            const RunResult &r = runner.run(cfg, w.kernel);
-            double spd = static_cast<double>(base.cycles) / r.cycles;
+            double spd = speedup(row.base[i], row.mthwp[i]);
             g[i].push_back(spd);
-            row.push_back(Cell::number(spd));
+            cells.push_back(Cell::number(spd));
         }
-        t.addRow(std::move(row));
+        t.addRow(std::move(cells));
     }
     t.addRow({Cell::str("geomean"), Cell::number(geomean(g[0])),
               Cell::number(geomean(g[1])),

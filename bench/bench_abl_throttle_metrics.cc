@@ -34,11 +34,14 @@ run(Runner &runner, const Options &opts)
 {
     auto names = selectBenchmarks(opts, Suite::memoryIntensiveNames());
     // Submit the whole matrix up front so the runs overlap.
+    std::vector<MatrixRow> rows;
     for (const auto &name : names) {
         Workload w = Suite::get(name, opts.scaleDiv);
-        runner.submitBaseline(w);
+        MatrixRow row{name, w.info.type,
+                      runner.submit(baseConfig(opts), w.kernel), {}};
         for (unsigned i = 0; i < 4; ++i)
-            runner.submit(configFor(opts, i), w.kernel);
+            row.runs.push_back(runner.submit(configFor(opts, i), w.kernel));
+        rows.push_back(std::move(row));
     }
 
     FigureResult out;
@@ -46,18 +49,14 @@ run(Runner &runner, const Options &opts)
     t.name = "throttle-metrics";
     t.columns = {"bench", "no-throt", "both", "earlyOnly", "mergeOnly"};
     std::vector<double> g[4];
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        const RunResult &base = runner.baseline(w);
-        std::vector<Cell> row = {Cell::str(name)};
+    for (const MatrixRow &row : rows) {
+        std::vector<Cell> cells = {Cell::str(row.name)};
         for (unsigned i = 0; i < 4; ++i) {
-            const RunResult &r =
-                runner.run(configFor(opts, i), w.kernel);
-            double spd = static_cast<double>(base.cycles) / r.cycles;
+            double spd = speedup(row.base, row.runs[i]);
             g[i].push_back(spd);
-            row.push_back(Cell::number(spd));
+            cells.push_back(Cell::number(spd));
         }
-        t.addRow(std::move(row));
+        t.addRow(std::move(cells));
     }
     t.addRow({Cell::str("geomean"), Cell::number(geomean(g[0])),
               Cell::number(geomean(g[1])), Cell::number(geomean(g[2])),

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <future>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -25,6 +26,9 @@
 namespace mtp {
 namespace bench {
 
+/** Handle of one scheduled simulation (see Runner::submit). */
+using RunFuture = std::shared_future<RunResult>;
+
 /** Command-line options common to all harnesses. */
 struct Options
 {
@@ -32,7 +36,6 @@ struct Options
     Cycle throttlePeriod = 5000; //!< scaled from the paper's 100K
     unsigned jobs = 0;          //!< worker threads (0 = all cores)
     Cycle samplePeriod = 0;     //!< --sample-period (0 = no sampling)
-    std::string traceOut;       //!< --trace-out Chrome trace base path
     std::string jsonOut;        //!< --json machine-readable output path
     bool quiet = false;         //!< --quiet: suppress human tables
     std::vector<std::string> overrides; //!< SimConfig key=value pairs
@@ -51,25 +54,29 @@ struct FlagSpec
     std::function<void(const std::string &)> handler;
 };
 
+/** Upper bound of --jobs: each job is one worker thread. */
+constexpr unsigned kMaxJobs = 1024;
+
+/**
+ * Parse @p text as the decimal value of @p flag. Non-numeric,
+ * negative and out-of-[@p min, @p max] values are fatal, naming the
+ * flag.
+ */
+std::uint64_t parseCount(const std::string &flag, const std::string &text,
+                         std::uint64_t min, std::uint64_t max);
+
+/** Parse @p text as a finite, non-negative number of seconds for
+ *  @p flag; anything else is fatal, naming the flag. */
+double parseSeconds(const std::string &flag, const std::string &text);
+
 /** Parse argv; recognises --scale, --bench, --jobs, --sample-period,
- *  --trace-out, --json, --quiet, key=value overrides and any @p extra
- *  harness flags. Unknown flags are fatal with a consistent message
- *  across every harness. @p extraUsage is appended to the --help
- *  line. */
+ *  --json, --quiet, key=value overrides and any @p extra harness
+ *  flags. Unknown flags and malformed numeric values are fatal with a
+ *  consistent message across every harness. @p extraUsage is appended
+ *  to the --help line. */
 Options parseArgs(int argc, char **argv,
                   const std::vector<FlagSpec> &extra = {},
                   const std::string &extraUsage = "");
-
-/**
- * Observation settings for one run of a harness, derived from
- * --sample-period / --trace-out. @p runTag (e.g. "mthwp.stream") is
- * inserted into the output path so the many runs of one harness don't
- * clobber each other; with --trace-out the Chrome trace doubles as the
- * time-series sink. Returns a disabled config when neither flag was
- * given. Observation never enters the run fingerprint; the first
- * submission of a (config, kernel) key decides its ObsConfig.
- */
-obs::ObsConfig obsConfig(const Options &opts, const std::string &runTag);
 
 /** Table II baseline with the scaled throttle period + overrides. */
 SimConfig baseConfig(const Options &opts);
@@ -97,61 +104,40 @@ void banner(const std::string &title, const std::string &reference,
  * Within one harness the same baseline run backs several columns, and
  * duplicate submissions cost nothing.
  *
- * Harnesses submit their entire run matrix up front (submit() /
- * submitBaseline()), then print in their natural order with run() /
- * baseline(), which block per result. Printing happens on the main
- * thread in submission order, so the output is deterministic and
- * byte-identical for every --jobs value.
+ * A harness builds each (config, kernel) cell of its run matrix once:
+ * submit() schedules the run and returns its handle, which the harness
+ * keeps beside the cell's row/column labels while it submits the rest.
+ * It then renders in its natural order, blocking on each handle's
+ * get(). Rendering happens on the main thread, so the output is
+ * deterministic and byte-identical for every --jobs value.
  */
 class Runner
 {
   public:
     explicit Runner(const Options &opts)
-        : opts_(opts), exec_(opts.jobs), cache_(exec_)
+        : exec_(opts.jobs), cache_(exec_)
     {
     }
 
-    /** Schedule a simulation without waiting for it. */
-    void
-    submit(const SimConfig &cfg, const KernelDesc &kernel,
-           const obs::ObsConfig &ocfg = {})
-    {
-        recordFingerprint(cfg, kernel);
-        cache_.submit(cfg, kernel, effectiveObs(ocfg));
-    }
-
-    /** Schedule a workload's no-prefetching baseline run. */
-    void
-    submitBaseline(const Workload &w)
-    {
-        submit(baseConfig(opts_), w.kernel);
-    }
-
-    /** Run (or reuse) a simulation of @p kernel under @p cfg. */
-    const RunResult &
-    run(const SimConfig &cfg, const KernelDesc &kernel)
+    /**
+     * Schedule a simulation of @p kernel under @p cfg (or attach to
+     * the identical run already scheduled) without waiting for it.
+     * get() on the returned handle blocks until the run finishes.
+     */
+    RunFuture
+    submit(const SimConfig &cfg, const KernelDesc &kernel)
     {
         recordFingerprint(cfg, kernel);
-        return cache_.result(cfg, kernel, effectiveObs({}));
+        return cache_.submit(cfg, kernel, obsDefaults_);
     }
-
-    /** Baseline (no prefetching) run of a workload's kernel. */
-    const RunResult &
-    baseline(const Workload &w)
-    {
-        return run(baseConfig(opts_), w.kernel);
-    }
-
-    const Options &options() const { return opts_; }
 
     /** Worker threads actually in use. */
     unsigned jobs() const { return exec_.threads(); }
 
     /**
-     * Observation applied to submissions whose own ObsConfig is
-     * disabled (the campaign runner's live-progress forwarding). A
-     * caller-provided enabled config still wins; like every ObsConfig
-     * the defaults never enter the fingerprint or change results.
+     * Observation attached to every run this Runner schedules (the
+     * campaign runner's live-progress forwarding). Like every
+     * ObsConfig it never enters the fingerprint or changes results.
      */
     void setObsDefaults(const obs::ObsConfig &ocfg) { obsDefaults_ = ocfg; }
 
@@ -167,9 +153,6 @@ class Runner
     /** Runs stolen across worker deques (load-imbalance telemetry). */
     std::uint64_t steals() const { return exec_.steals(); }
 
-    /** Cache entries discarded (always 0; see RunCache::evictions). */
-    std::uint64_t cacheEvictions() const { return cache_.evictions(); }
-
     /**
      * Normalized fingerprint tag of every distinct run submitted, in
      * first-submission order: "<kernel>:<config hash>:<kernel hash>".
@@ -180,19 +163,32 @@ class Runner
     void recordFingerprint(const SimConfig &cfg,
                            const KernelDesc &kernel);
 
-    obs::ObsConfig
-    effectiveObs(const obs::ObsConfig &ocfg) const
-    {
-        return ocfg.enabled() || ocfg.forwardSink ? ocfg : obsDefaults_;
-    }
-
-    Options opts_;
     driver::ParallelExecutor exec_;
     driver::RunCache cache_;
     obs::ObsConfig obsDefaults_;
     std::vector<std::string> fps_;
     std::unordered_set<std::string> fpSeen_;
 };
+
+/**
+ * One benchmark's row of a harness run matrix: its labels, the handle
+ * of its no-prefetching baseline run and the handles of its other
+ * cells in submission order.
+ */
+struct MatrixRow
+{
+    std::string name;
+    WorkloadType type;
+    RunFuture base;
+    std::vector<RunFuture> runs;
+};
+
+/** Speedup of @p run over @p base: base cycles / run cycles. */
+inline double
+speedup(const RunFuture &base, const RunFuture &run)
+{
+    return static_cast<double>(base.get().cycles) / run.get().cycles;
+}
 
 } // namespace bench
 } // namespace mtp

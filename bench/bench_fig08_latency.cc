@@ -17,11 +17,14 @@ run(Runner &runner, const Options &opts)
 {
     auto names = selectBenchmarks(opts, Suite::memoryIntensiveNames());
     // Submit the whole matrix up front so the runs overlap.
+    std::vector<MatrixRow> rows;
     for (const auto &name : names) {
         Workload w = Suite::get(name, opts.scaleDiv);
-        runner.submitBaseline(w);
-        runner.submit(baseConfig(opts),
-                      w.variant(SwPrefKind::StrideIP));
+        MatrixRow row{name, w.info.type,
+                      runner.submit(baseConfig(opts), w.kernel), {}};
+        row.runs.push_back(runner.submit(baseConfig(opts),
+                                         w.variant(SwPrefKind::StrideIP)));
+        rows.push_back(std::move(row));
     }
 
     FigureResult out;
@@ -30,17 +33,15 @@ run(Runner &runner, const Options &opts)
     t.columns = {"bench",   "type",    "lat.base",
                  "lat.pref", "normLat", "accuracy%"};
     std::vector<double> norms;
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        const RunResult &base = runner.baseline(w);
-        const RunResult &pref = runner.run(
-            baseConfig(opts), w.variant(SwPrefKind::StrideIP));
+    for (const MatrixRow &row : rows) {
+        const RunResult &base = row.base.get();
+        const RunResult &pref = row.runs[0].get();
         double norm = base.avgDemandLatency > 0
                           ? pref.avgDemandLatency /
                                 base.avgDemandLatency
                           : 0.0;
         norms.push_back(norm);
-        t.addRow({Cell::str(name), Cell::str(toString(w.info.type)),
+        t.addRow({Cell::str(row.name), Cell::str(toString(row.type)),
                   Cell::number(base.avgDemandLatency, 1),
                   Cell::number(pref.avgDemandLatency, 1),
                   Cell::number(norm),

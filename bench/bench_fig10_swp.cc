@@ -17,14 +17,16 @@ run(Runner &runner, const Options &opts)
 {
     auto names = selectBenchmarks(opts, Suite::memoryIntensiveNames());
     // Submit the whole matrix up front so the runs overlap.
+    std::vector<MatrixRow> rows;
     for (const auto &name : names) {
         Workload w = Suite::get(name, opts.scaleDiv);
-        runner.submitBaseline(w);
         SimConfig cfg = baseConfig(opts);
+        MatrixRow row{name, w.info.type, runner.submit(cfg, w.kernel), {}};
         for (SwPrefKind kind :
              {SwPrefKind::Register, SwPrefKind::Stride, SwPrefKind::IP,
               SwPrefKind::StrideIP})
-            runner.submit(cfg, w.variant(kind));
+            row.runs.push_back(runner.submit(cfg, w.variant(kind)));
+        rows.push_back(std::move(row));
     }
 
     FigureResult out;
@@ -33,23 +35,16 @@ run(Runner &runner, const Options &opts)
     t.columns = {"bench", "type",     "register",
                  "stride", "ip",      "stride+ip"};
     std::vector<double> g_reg, g_str, g_ip, g_sip;
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        const RunResult &base = runner.baseline(w);
-        SimConfig cfg = baseConfig(opts);
-        auto speedup = [&](SwPrefKind kind) {
-            const RunResult &r = runner.run(cfg, w.variant(kind));
-            return static_cast<double>(base.cycles) / r.cycles;
-        };
-        double reg = speedup(SwPrefKind::Register);
-        double str = speedup(SwPrefKind::Stride);
-        double ip = speedup(SwPrefKind::IP);
-        double sip = speedup(SwPrefKind::StrideIP);
+    for (const MatrixRow &row : rows) {
+        double reg = speedup(row.base, row.runs[0]);
+        double str = speedup(row.base, row.runs[1]);
+        double ip = speedup(row.base, row.runs[2]);
+        double sip = speedup(row.base, row.runs[3]);
         g_reg.push_back(reg);
         g_str.push_back(str);
         g_ip.push_back(ip);
         g_sip.push_back(sip);
-        t.addRow({Cell::str(name), Cell::str(toString(w.info.type)),
+        t.addRow({Cell::str(row.name), Cell::str(toString(row.type)),
                   Cell::number(reg), Cell::number(str),
                   Cell::number(ip), Cell::number(sip)});
     }

@@ -16,16 +16,18 @@ run(Runner &runner, const Options &opts)
 {
     auto names = selectBenchmarks(opts, Suite::memoryIntensiveNames());
     // Submit the whole matrix up front so the runs overlap.
+    std::vector<MatrixRow> rows;
     for (const auto &name : names) {
         Workload w = Suite::get(name, opts.scaleDiv);
-        runner.submitBaseline(w);
         SimConfig cfg = baseConfig(opts);
         SimConfig thr = cfg;
         thr.throttleEnable = true;
-        runner.submit(cfg, w.variant(SwPrefKind::Register));
-        runner.submit(cfg, w.variant(SwPrefKind::Stride));
-        runner.submit(cfg, w.variant(SwPrefKind::StrideIP));
-        runner.submit(thr, w.variant(SwPrefKind::StrideIP));
+        MatrixRow row{name, w.info.type, runner.submit(cfg, w.kernel), {}};
+        row.runs.push_back(runner.submit(cfg, w.variant(SwPrefKind::Register)));
+        row.runs.push_back(runner.submit(cfg, w.variant(SwPrefKind::Stride)));
+        row.runs.push_back(runner.submit(cfg, w.variant(SwPrefKind::StrideIP)));
+        row.runs.push_back(runner.submit(thr, w.variant(SwPrefKind::StrideIP)));
+        rows.push_back(std::move(row));
     }
 
     FigureResult out;
@@ -34,25 +36,16 @@ run(Runner &runner, const Options &opts)
     t.columns = {"bench", "type", "register", "stride", "mtswp",
                  "mtswp+T"};
     std::vector<double> g_reg, g_str, g_swp, g_thr;
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        const RunResult &base = runner.baseline(w);
-        SimConfig cfg = baseConfig(opts);
-        SimConfig thr = cfg;
-        thr.throttleEnable = true;
-        auto speedup = [&](const SimConfig &c, SwPrefKind kind) {
-            const RunResult &r = runner.run(c, w.variant(kind));
-            return static_cast<double>(base.cycles) / r.cycles;
-        };
-        double reg = speedup(cfg, SwPrefKind::Register);
-        double str = speedup(cfg, SwPrefKind::Stride);
-        double swp = speedup(cfg, SwPrefKind::StrideIP);
-        double swpt = speedup(thr, SwPrefKind::StrideIP);
+    for (const MatrixRow &row : rows) {
+        double reg = speedup(row.base, row.runs[0]);
+        double str = speedup(row.base, row.runs[1]);
+        double swp = speedup(row.base, row.runs[2]);
+        double swpt = speedup(row.base, row.runs[3]);
         g_reg.push_back(reg);
         g_str.push_back(str);
         g_swp.push_back(swp);
         g_thr.push_back(swpt);
-        t.addRow({Cell::str(name), Cell::str(toString(w.info.type)),
+        t.addRow({Cell::str(row.name), Cell::str(toString(row.type)),
                   Cell::number(reg), Cell::number(str),
                   Cell::number(swp), Cell::number(swpt)});
     }

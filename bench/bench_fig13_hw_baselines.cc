@@ -22,18 +22,23 @@ run(Runner &runner, const Options &opts)
     const char *kindNames[] = {"stride", "stridePC", "stream", "ghb"};
 
     auto names = selectBenchmarks(opts, Suite::memoryIntensiveNames());
-    // Submit the whole matrix up front so the runs overlap.
+    // Submit the whole matrix up front so the runs overlap: per
+    // benchmark the baseline, then the four kinds with original
+    // indexing (runs[0..3]) and with warp-id training (runs[4..7]).
+    std::vector<MatrixRow> rows;
     for (const auto &name : names) {
         Workload w = Suite::get(name, opts.scaleDiv);
-        runner.submitBaseline(w);
+        MatrixRow row{name, w.info.type,
+                      runner.submit(baseConfig(opts), w.kernel), {}};
         for (bool warp_training : {false, true}) {
             for (HwPrefKind kind : kinds) {
                 SimConfig cfg = baseConfig(opts);
                 cfg.hwPref = kind;
                 cfg.hwPrefWarpTraining = warp_training;
-                runner.submit(cfg, w.kernel);
+                row.runs.push_back(runner.submit(cfg, w.kernel));
             }
         }
+        rows.push_back(std::move(row));
     }
 
     FigureResult out;
@@ -44,22 +49,16 @@ run(Runner &runner, const Options &opts)
         t.columns = {"bench", "type", "stride", "stridePC", "stream",
                      "ghb"};
         std::vector<double> g[4];
-        for (const auto &name : names) {
-            Workload w = Suite::get(name, opts.scaleDiv);
-            const RunResult &base = runner.baseline(w);
-            std::vector<Cell> row = {
-                Cell::str(name), Cell::str(toString(w.info.type))};
+        for (const MatrixRow &row : rows) {
+            std::vector<Cell> cells = {Cell::str(row.name),
+                                       Cell::str(toString(row.type))};
             for (unsigned i = 0; i < 4; ++i) {
-                SimConfig cfg = baseConfig(opts);
-                cfg.hwPref = kinds[i];
-                cfg.hwPrefWarpTraining = warp_training;
-                const RunResult &r = runner.run(cfg, w.kernel);
                 double spd =
-                    static_cast<double>(base.cycles) / r.cycles;
+                    speedup(row.base, row.runs[4 * warp_training + i]);
                 g[i].push_back(spd);
-                row.push_back(Cell::number(spd));
+                cells.push_back(Cell::number(spd));
             }
-            t.addRow(std::move(row));
+            t.addRow(std::move(cells));
         }
         std::vector<Cell> gm = {Cell::str("geomean"), Cell::str("")};
         for (unsigned i = 0; i < 4; ++i) {

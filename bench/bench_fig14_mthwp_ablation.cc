@@ -45,11 +45,14 @@ run(Runner &runner, const Options &opts)
 {
     auto names = selectBenchmarks(opts, Suite::memoryIntensiveNames());
     // Submit the whole matrix up front so the runs overlap.
+    std::vector<MatrixRow> rows;
     for (const auto &name : names) {
         Workload w = Suite::get(name, opts.scaleDiv);
-        runner.submitBaseline(w);
+        MatrixRow row{name, w.info.type,
+                      runner.submit(baseConfig(opts), w.kernel), {}};
         for (const Column &col : kColumns)
-            runner.submit(configFor(opts, col), w.kernel);
+            row.runs.push_back(runner.submit(configFor(opts, col), w.kernel));
+        rows.push_back(std::move(row));
     }
 
     FigureResult out;
@@ -61,25 +64,22 @@ run(Runner &runner, const Options &opts)
 
     std::vector<double> g[5];
     double saved_sum = 0.0, probes_sum = 0.0;
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        const RunResult &base = runner.baseline(w);
-        std::vector<Cell> row = {Cell::str(name),
-                                 Cell::str(toString(w.info.type))};
+    for (const MatrixRow &row : rows) {
+        std::vector<Cell> cells = {Cell::str(row.name),
+                                   Cell::str(toString(row.type))};
         for (unsigned i = 0; i < 5; ++i) {
-            const RunResult &r =
-                runner.run(configFor(opts, kColumns[i]), w.kernel);
-            double spd = static_cast<double>(base.cycles) / r.cycles;
+            double spd = speedup(row.base, row.runs[i]);
             g[i].push_back(spd);
-            row.push_back(Cell::number(spd));
-            if (i == 4 && w.info.type == WorkloadType::Stride) {
-                saved_sum += r.stats.sumMatching(
-                    "core", ".hwPref.pwsAccessesSaved");
-                probes_sum += r.stats.sumMatching(
-                    "core", ".hwPref.pwsAccesses");
-            }
+            cells.push_back(Cell::number(spd));
         }
-        t.addRow(std::move(row));
+        // GS table savings of the full MT-HWP on stride-type kernels.
+        if (row.type == WorkloadType::Stride) {
+            const RunResult &r = row.runs[4].get();
+            saved_sum +=
+                r.stats.sumMatching("core", ".hwPref.pwsAccessesSaved");
+            probes_sum += r.stats.sumMatching("core", ".hwPref.pwsAccesses");
+        }
+        t.addRow(std::move(cells));
     }
     std::vector<Cell> gm = {Cell::str("geomean"), Cell::str("")};
     for (unsigned i = 0; i < 5; ++i) {

@@ -50,11 +50,14 @@ run(Runner &runner, const Options &opts)
 {
     auto names = selectBenchmarks(opts, Suite::memoryIntensiveNames());
     // Submit the whole matrix up front so the runs overlap.
+    std::vector<MatrixRow> rows;
     for (const auto &name : names) {
         Workload w = Suite::get(name, opts.scaleDiv);
-        runner.submitBaseline(w);
+        MatrixRow row{name, w.info.type,
+                      runner.submit(baseConfig(opts), w.kernel), {}};
         for (unsigned i = 0; i < 6; ++i)
-            runner.submit(configFor(opts, i), w.kernel);
+            row.runs.push_back(runner.submit(configFor(opts, i), w.kernel));
+        rows.push_back(std::move(row));
     }
 
     FigureResult out;
@@ -64,19 +67,15 @@ run(Runner &runner, const Options &opts)
     for (const char *c : kColumnNames)
         t.columns.push_back(c);
     std::vector<double> g[6];
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        const RunResult &base = runner.baseline(w);
-        std::vector<Cell> row = {Cell::str(name),
-                                 Cell::str(toString(w.info.type))};
+    for (const MatrixRow &row : rows) {
+        std::vector<Cell> cells = {Cell::str(row.name),
+                                   Cell::str(toString(row.type))};
         for (unsigned i = 0; i < 6; ++i) {
-            const RunResult &r =
-                runner.run(configFor(opts, i), w.kernel);
-            double spd = static_cast<double>(base.cycles) / r.cycles;
+            double spd = speedup(row.base, row.runs[i]);
             g[i].push_back(spd);
-            row.push_back(Cell::number(spd));
+            cells.push_back(Cell::number(spd));
         }
-        t.addRow(std::move(row));
+        t.addRow(std::move(cells));
     }
     std::vector<Cell> gm = {Cell::str("geomean"), Cell::str("")};
     for (unsigned i = 0; i < 6; ++i) {

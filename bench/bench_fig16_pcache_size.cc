@@ -28,40 +28,42 @@ run(Runner &runner, const Options &opts)
 {
     auto names = selectBenchmarks(opts, sweepSubset());
     const unsigned sizesKb[] = {1, 2, 4, 8, 16, 32, 64, 128};
-    // Submit the whole size sweep up front so the runs overlap.
+    // Submit the whole size sweep up front so the runs overlap:
+    // [size][throttle] cells per benchmark.
+    struct Row
+    {
+        RunFuture base;
+        RunFuture hw[8][2];
+        RunFuture sw[8][2];
+    };
+    std::vector<Row> rows;
     for (const auto &name : names) {
         Workload w = Suite::get(name, opts.scaleDiv);
-        runner.submitBaseline(w);
-        for (unsigned kb : sizesKb) {
+        KernelDesc swp = w.variant(SwPrefKind::StrideIP);
+        Row row{runner.submit(baseConfig(opts), w.kernel), {}, {}};
+        for (unsigned k = 0; k < 8; ++k) {
             for (bool throttle : {false, true}) {
-                runner.submit(configFor(opts, kb, true, throttle),
-                              w.kernel);
-                runner.submit(configFor(opts, kb, false, throttle),
-                              w.variant(SwPrefKind::StrideIP));
+                row.hw[k][throttle] = runner.submit(
+                    configFor(opts, sizesKb[k], true, throttle), w.kernel);
+                row.sw[k][throttle] = runner.submit(
+                    configFor(opts, sizesKb[k], false, throttle), swp);
             }
         }
+        rows.push_back(std::move(row));
     }
 
     FigureResult out;
     Table t;
     t.name = "size-sweep";
     t.columns = {"size", "mthwp", "mthwp+T", "mtswp", "mtswp+T"};
-    for (unsigned kb : sizesKb) {
+    for (unsigned k = 0; k < 8; ++k) {
+        unsigned kb = sizesKb[k];
         std::vector<double> hw, hwt, sw, swt;
-        for (const auto &name : names) {
-            Workload w = Suite::get(name, opts.scaleDiv);
-            const RunResult &base = runner.baseline(w);
-            auto speedup = [&](bool hw_pref, bool throttle) {
-                SimConfig cfg = configFor(opts, kb, hw_pref, throttle);
-                const RunResult &r = runner.run(
-                    cfg, hw_pref ? w.kernel
-                                 : w.variant(SwPrefKind::StrideIP));
-                return static_cast<double>(base.cycles) / r.cycles;
-            };
-            hw.push_back(speedup(true, false));
-            hwt.push_back(speedup(true, true));
-            sw.push_back(speedup(false, false));
-            swt.push_back(speedup(false, true));
+        for (const Row &row : rows) {
+            hw.push_back(speedup(row.base, row.hw[k][0]));
+            hwt.push_back(speedup(row.base, row.hw[k][1]));
+            sw.push_back(speedup(row.base, row.sw[k][0]));
+            swt.push_back(speedup(row.base, row.sw[k][1]));
         }
         t.addRow({Cell::str(std::to_string(kb) + "K"),
                   Cell::number(geomean(hw), 3),

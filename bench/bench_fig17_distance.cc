@@ -21,15 +21,18 @@ run(Runner &runner, const Options &opts)
     const unsigned distances[] = {1, 3, 5, 7, 9, 11, 13, 15};
 
     // Submit the whole distance sweep up front so the runs overlap.
+    std::vector<MatrixRow> rows;
     for (const auto &name : names) {
         Workload w = Suite::get(name, opts.scaleDiv);
-        runner.submitBaseline(w);
+        MatrixRow row{name, w.info.type,
+                      runner.submit(baseConfig(opts), w.kernel), {}};
         for (unsigned d : distances) {
             SimConfig cfg = baseConfig(opts);
             cfg.hwPref = HwPrefKind::MTHWP;
             cfg.prefDistance = d;
-            runner.submit(cfg, w.kernel);
+            row.runs.push_back(runner.submit(cfg, w.kernel));
         }
+        rows.push_back(std::move(row));
     }
 
     FigureResult out;
@@ -39,20 +42,14 @@ run(Runner &runner, const Options &opts)
     for (unsigned d : distances)
         t.columns.push_back("d" + std::to_string(d));
     std::vector<std::vector<double>> per_distance(8);
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        const RunResult &base = runner.baseline(w);
-        std::vector<Cell> row = {Cell::str(name)};
+    for (const MatrixRow &row : rows) {
+        std::vector<Cell> cells = {Cell::str(row.name)};
         for (unsigned i = 0; i < 8; ++i) {
-            SimConfig cfg = baseConfig(opts);
-            cfg.hwPref = HwPrefKind::MTHWP;
-            cfg.prefDistance = distances[i];
-            const RunResult &r = runner.run(cfg, w.kernel);
-            double spd = static_cast<double>(base.cycles) / r.cycles;
+            double spd = speedup(row.base, row.runs[i]);
             per_distance[i].push_back(spd);
-            row.push_back(Cell::number(spd));
+            cells.push_back(Cell::number(spd));
         }
-        t.addRow(std::move(row));
+        t.addRow(std::move(cells));
     }
     std::vector<Cell> gm = {Cell::str("geomean")};
     for (unsigned i = 0; i < 8; ++i)

@@ -17,51 +17,48 @@ run(Runner &runner, const Options &opts)
 {
     auto names = selectBenchmarks(opts, sweepSubset());
 
-    // Submit the whole core-count sweep up front so the runs overlap.
+    const unsigned coreCounts[] = {8, 10, 12, 14, 16, 18, 20};
+    // Submit the whole core-count sweep up front so the runs overlap:
+    // per core count the same-core-count baseline and the [throttle]
+    // cells.
+    struct Row
+    {
+        RunFuture base[7];
+        RunFuture sw[7][2];
+        RunFuture hw[7][2];
+    };
+    std::vector<Row> rows;
     for (const auto &name : names) {
         Workload w = Suite::get(name, opts.scaleDiv);
         KernelDesc swp = w.variant(SwPrefKind::StrideIP);
-        for (unsigned cores = 8; cores <= 20; cores += 2) {
+        Row row;
+        for (unsigned c = 0; c < 7; ++c) {
             SimConfig base_cfg = baseConfig(opts);
-            base_cfg.numCores = cores;
-            runner.submit(base_cfg, w.kernel);
+            base_cfg.numCores = coreCounts[c];
+            row.base[c] = runner.submit(base_cfg, w.kernel);
             for (bool throttle : {false, true}) {
                 SimConfig cfg = base_cfg;
                 cfg.throttleEnable = throttle;
-                runner.submit(cfg, swp);
+                row.sw[c][throttle] = runner.submit(cfg, swp);
                 cfg.hwPref = HwPrefKind::MTHWP;
-                runner.submit(cfg, w.kernel);
+                row.hw[c][throttle] = runner.submit(cfg, w.kernel);
             }
         }
+        rows.push_back(std::move(row));
     }
 
     FigureResult out;
     Table t;
     t.name = "core-sweep";
     t.columns = {"cores", "mthwp", "mthwp+T", "mtswp", "mtswp+T"};
-    for (unsigned cores = 8; cores <= 20; cores += 2) {
+    for (unsigned c = 0; c < 7; ++c) {
+        unsigned cores = coreCounts[c];
         std::vector<double> hw, hwt, sw, swt;
-        for (const auto &name : names) {
-            Workload w = Suite::get(name, opts.scaleDiv);
-            SimConfig base_cfg = baseConfig(opts);
-            base_cfg.numCores = cores;
-            const RunResult &base = runner.run(base_cfg, w.kernel);
-            auto speedup = [&](bool hw_pref, bool throttle) {
-                SimConfig cfg = base_cfg;
-                cfg.throttleEnable = throttle;
-                if (hw_pref) {
-                    cfg.hwPref = HwPrefKind::MTHWP;
-                    const RunResult &r = runner.run(cfg, w.kernel);
-                    return static_cast<double>(base.cycles) / r.cycles;
-                }
-                const RunResult &r =
-                    runner.run(cfg, w.variant(SwPrefKind::StrideIP));
-                return static_cast<double>(base.cycles) / r.cycles;
-            };
-            hw.push_back(speedup(true, false));
-            hwt.push_back(speedup(true, true));
-            sw.push_back(speedup(false, false));
-            swt.push_back(speedup(false, true));
+        for (const Row &row : rows) {
+            hw.push_back(speedup(row.base[c], row.hw[c][0]));
+            hwt.push_back(speedup(row.base[c], row.hw[c][1]));
+            sw.push_back(speedup(row.base[c], row.sw[c][0]));
+            swt.push_back(speedup(row.base[c], row.sw[c][1]));
         }
         t.addRow({Cell::number(cores, 0), Cell::number(geomean(hw), 3),
                   Cell::number(geomean(hwt), 3),

@@ -17,12 +17,22 @@ run(Runner &runner, const Options &opts)
 {
     auto names = selectBenchmarks(opts, Suite::memoryIntensiveNames());
     // Submit the whole matrix up front so the runs overlap.
+    struct Row
+    {
+        std::string name;
+        WorkloadInfo info;
+        unsigned maxBlocksPerCore;
+        RunFuture base, perfect;
+    };
+    std::vector<Row> rows;
     for (const auto &name : names) {
         Workload w = Suite::get(name, opts.scaleDiv);
-        runner.submitBaseline(w);
         SimConfig pmem = baseConfig(opts);
         pmem.perfectMemory = true;
-        runner.submit(pmem, w.kernel);
+        RunFuture base = runner.submit(baseConfig(opts), w.kernel);
+        RunFuture perfect = runner.submit(pmem, w.kernel);
+        rows.push_back(
+            {name, w.info, w.kernel.maxBlocksPerCore, base, perfect});
     }
 
     FigureResult out;
@@ -32,24 +42,22 @@ run(Runner &runner, const Options &opts)
                  "blocks",  "blk/core",   "baseCPI",   "paper.base",
                  "pmemCPI", "paper.pmem", "mem-intense"};
     unsigned intenseCount = 0;
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        const RunResult &base = runner.baseline(w);
-        SimConfig pmem = baseConfig(opts);
-        pmem.perfectMemory = true;
-        const RunResult &perfect = runner.run(pmem, w.kernel);
+    for (const Row &row : rows) {
+        const RunResult &base = row.base.get();
+        const RunResult &perfect = row.perfect.get();
         bool intense = base.cpi > 1.5 * perfect.cpi;
         intenseCount += intense;
-        t.addRow({Cell::str(name), Cell::str(w.info.suite),
-                  Cell::str(toString(w.info.type)),
+        t.addRow({Cell::str(row.name), Cell::str(row.info.suite),
+                  Cell::str(toString(row.info.type)),
                   Cell::number(
-                      static_cast<double>(w.info.paperWarps), 0),
+                      static_cast<double>(row.info.paperWarps), 0),
                   Cell::number(
-                      static_cast<double>(w.info.paperBlocks), 0),
-                  Cell::number(w.kernel.maxBlocksPerCore, 0),
-                  Cell::number(base.cpi), Cell::number(w.info.paperBaseCpi),
+                      static_cast<double>(row.info.paperBlocks), 0),
+                  Cell::number(row.maxBlocksPerCore, 0),
+                  Cell::number(base.cpi),
+                  Cell::number(row.info.paperBaseCpi),
                   Cell::number(perfect.cpi),
-                  Cell::number(w.info.paperPmemCpi),
+                  Cell::number(row.info.paperPmemCpi),
                   Cell::str(intense ? "yes" : "NO")});
     }
     out.tables.push_back(std::move(t));
@@ -57,11 +65,10 @@ run(Runner &runner, const Options &opts)
     Table d;
     d.name = "delinquent-loads";
     d.columns = {"bench", "stride", "ip"};
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, 64);
-        d.addRow({Cell::str(name),
-                  Cell::number(w.info.paperDelinquentStride, 0),
-                  Cell::number(w.info.paperDelinquentIp, 0)});
+    for (const Row &row : rows) {
+        d.addRow({Cell::str(row.name),
+                  Cell::number(row.info.paperDelinquentStride, 0),
+                  Cell::number(row.info.paperDelinquentIp, 0)});
     }
     out.tables.push_back(std::move(d));
 

@@ -16,15 +16,23 @@ run(Runner &runner, const Options &opts)
 {
     auto names = selectBenchmarks(opts, Suite::computeNames());
     // Submit the whole matrix up front so the runs overlap.
+    struct Row
+    {
+        std::string name;
+        WorkloadInfo info;
+        RunFuture base, perfect, pref;
+    };
+    std::vector<Row> rows;
     for (const auto &name : names) {
         Workload w = Suite::get(name, opts.scaleDiv);
-        runner.submitBaseline(w);
         SimConfig pmem = baseConfig(opts);
         pmem.perfectMemory = true;
-        runner.submit(pmem, w.kernel);
         SimConfig hwp = baseConfig(opts);
         hwp.hwPref = HwPrefKind::MTHWP;
-        runner.submit(hwp, w.kernel);
+        RunFuture base = runner.submit(baseConfig(opts), w.kernel);
+        RunFuture perfect = runner.submit(pmem, w.kernel);
+        RunFuture pref = runner.submit(hwp, w.kernel);
+        rows.push_back({name, w.info, base, perfect, pref});
     }
 
     FigureResult out;
@@ -33,22 +41,17 @@ run(Runner &runner, const Options &opts)
     t.columns = {"bench",   "baseCPI",    "paper.base", "pmemCPI",
                  "paper.pmem", "hwpCPI", "paper.hwp"};
     std::vector<double> hwpOverBase;
-    for (const auto &name : names) {
-        Workload w = Suite::get(name, opts.scaleDiv);
-        const RunResult &base = runner.baseline(w);
-        SimConfig pmem = baseConfig(opts);
-        pmem.perfectMemory = true;
-        const RunResult &perfect = runner.run(pmem, w.kernel);
-        SimConfig hwp = baseConfig(opts);
-        hwp.hwPref = HwPrefKind::MTHWP;
-        const RunResult &pref = runner.run(hwp, w.kernel);
+    for (const Row &row : rows) {
+        const RunResult &base = row.base.get();
+        const RunResult &perfect = row.perfect.get();
+        const RunResult &pref = row.pref.get();
         hwpOverBase.push_back(base.cpi / pref.cpi);
-        t.addRow({Cell::str(name), Cell::number(base.cpi),
-                  Cell::number(w.info.paperBaseCpi),
+        t.addRow({Cell::str(row.name), Cell::number(base.cpi),
+                  Cell::number(row.info.paperBaseCpi),
                   Cell::number(perfect.cpi),
-                  Cell::number(w.info.paperPmemCpi),
+                  Cell::number(row.info.paperPmemCpi),
                   Cell::number(pref.cpi),
-                  Cell::number(w.info.paperHwpCpi)});
+                  Cell::number(row.info.paperHwpCpi)});
     }
     out.tables.push_back(std::move(t));
     out.metric("geomean.hwpSpeedup", geomean(hwpOverBase));

@@ -249,7 +249,6 @@ runCampaign(const Options &opts, const std::vector<std::string> &only,
     res.cacheHits = runner.cacheHits();
     res.cacheMisses = runner.cacheMisses();
     res.steals = runner.steals();
-    res.cacheEvictions = runner.cacheEvictions();
     res.executorThreads = runner.jobs();
     res.runsPerSec = res.wallSeconds > 0.0
                          ? static_cast<double>(res.runsExecuted) /
@@ -506,9 +505,6 @@ writeManifest(std::ostream &os, const CampaignResult &res,
         appendIndent(out, 2);
         out += "\"cacheMisses\": " + std::to_string(res.cacheMisses) +
                ",\n";
-        appendIndent(out, 2);
-        out += "\"cacheEvictions\": " +
-               std::to_string(res.cacheEvictions) + ",\n";
         appendIndent(out, 2);
         out += "\"steals\": " + std::to_string(res.steals) + ",\n";
         appendIndent(out, 2);

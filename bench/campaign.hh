@@ -165,7 +165,6 @@ struct CampaignResult
     // Host-side scheduling telemetry (DESIGN.md §11). Session data:
     // legitimately varies run to run, excluded from the diff gate.
     std::uint64_t steals = 0;
-    std::uint64_t cacheEvictions = 0;
     unsigned executorThreads = 0;
     double runsPerSec = 0.0;
     std::vector<FigureRun> figures;

@@ -73,7 +73,7 @@ ParallelExecutor::popOwn(unsigned self, std::function<void()> &out)
 {
     // Owner runs its deque FIFO: harnesses consume results in
     // submission order, so executing oldest-first minimizes how long
-    // the next result() blocks (and makes a 1-worker pool exactly the
+    // the next get() blocks (and makes a 1-worker pool exactly the
     // sequential order --jobs 1 promises).
     std::lock_guard<std::mutex> lock(queues_[self]->mutex);
     if (queues_[self]->tasks.empty())
@@ -127,7 +127,6 @@ ParallelExecutor::workerLoop(unsigned self)
                 obs::HostScope hostTask(obs::HostPhase::RunTask);
                 task();
             }
-            executed_.fetch_add(1);
             // One beat per finished task: the watchdog treats a
             // draining executor as live.
             obs::FlightRecorder::beat();

@@ -11,7 +11,7 @@
  * ParallelExecutor implements a work-stealing shape tuned for flat
  * fan-out: every worker owns a deque, runs it FIFO from the front
  * (harnesses consume results in submission order, so oldest-first
- * minimizes result() blocking — and a 1-worker pool degenerates to
+ * minimizes get() blocking — and a 1-worker pool degenerates to
  * exactly the sequential submission order), and when empty steals
  * from the *back* of a victim's deque to keep owner/thief contention
  * on opposite ends. External submissions are dealt round-robin across
@@ -26,8 +26,10 @@
 #ifndef MTP_DRIVER_PARALLEL_EXECUTOR_HH
 #define MTP_DRIVER_PARALLEL_EXECUTOR_HH
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
@@ -78,9 +80,23 @@ class ParallelExecutor
     submit(F &&fn) -> std::future<std::invoke_result_t<F>>
     {
         using R = std::invoke_result_t<F>;
+        // Counts the task when fn returns or throws, which is before
+        // packaged_task makes the future ready: executed() already
+        // includes a task once its future's get() returns.
+        struct CountOnExit
+        {
+            explicit CountOnExit(std::atomic<std::uint64_t> &n) : n_(n) {}
+            CountOnExit(const CountOnExit &) = delete;
+            CountOnExit &operator=(const CountOnExit &) = delete;
+            ~CountOnExit() { n_.fetch_add(1); }
+            std::atomic<std::uint64_t> &n_;
+        };
         // packaged_task is move-only; std::function needs copyable.
         auto task = std::make_shared<std::packaged_task<R()>>(
-            std::forward<F>(fn));
+            [this, fn = std::forward<F>(fn)]() mutable -> R {
+                CountOnExit count(executed_);
+                return fn();
+            });
         std::future<R> fut = task->get_future();
         enqueue([task]() { (*task)(); });
         return fut;

@@ -32,6 +32,63 @@ TEST(BenchCommon, ParseArgs)
     EXPECT_EQ(cfg.throttlePeriod, 10000u);
 }
 
+/** parseArgs on a flag and its value only. */
+Options
+parseFlag(const char *flag, const char *value)
+{
+    const char *argv[] = {"prog", flag, value};
+    return parseArgs(3, const_cast<char **>(argv));
+}
+
+TEST(BenchCommon, ParseArgsRejectsBadNumbersNamingTheFlag)
+{
+    using ::testing::ExitedWithCode;
+    for (const char *bad : {"abc", "", "-1", "+4", " 4", "4x", "0",
+                            "4294967297", "99999999999999999999"}) {
+        EXPECT_EXIT(parseFlag("--scale", bad), ExitedWithCode(1),
+                    "--scale")
+            << "'" << bad << "'";
+    }
+    for (const char *bad : {"-1", "0", "x", "1025", "4294967295"}) {
+        EXPECT_EXIT(parseFlag("--jobs", bad), ExitedWithCode(1),
+                    "--jobs")
+            << "'" << bad << "'";
+    }
+    for (const char *bad : {"x", "-5", "18446744073709551616"}) {
+        EXPECT_EXIT(parseFlag("--sample-period", bad), ExitedWithCode(1),
+                    "--sample-period")
+            << "'" << bad << "'";
+    }
+}
+
+TEST(BenchCommon, ParseArgsAcceptsNumericBounds)
+{
+    EXPECT_EQ(parseFlag("--scale", "4294967295").scaleDiv, 4294967295u);
+    EXPECT_EQ(parseFlag("--jobs", "1024").jobs, kMaxJobs);
+    EXPECT_EQ(parseFlag("--sample-period", "0").samplePeriod, 0u);
+    EXPECT_EQ(parseFlag("--sample-period", "18446744073709551615")
+                  .samplePeriod,
+              18446744073709551615ull);
+}
+
+TEST(BenchCommon, TraceOutIsNotAHarnessFlag)
+{
+    EXPECT_EXIT(parseFlag("--trace-out", "t.json"),
+                ::testing::ExitedWithCode(1),
+                "unknown argument '--trace-out'");
+}
+
+TEST(BenchCommon, ParseSecondsRejectsNonNumbers)
+{
+    EXPECT_DOUBLE_EQ(parseSeconds("--watchdog-sec", "2.5"), 2.5);
+    EXPECT_DOUBLE_EQ(parseSeconds("--watchdog-sec", "0"), 0.0);
+    for (const char *bad : {"x", "", "-1", "nan", "inf", "1e999", "3s"}) {
+        EXPECT_EXIT(parseSeconds("--watchdog-sec", bad),
+                    ::testing::ExitedWithCode(1), "--watchdog-sec")
+            << "'" << bad << "'";
+    }
+}
+
 TEST(BenchCommon, SelectBenchmarksFallsBack)
 {
     Options opts;
@@ -64,9 +121,11 @@ TEST(BenchCommon, RunnerCachesIdenticalRuns)
     opts.jobs = 2;
     Runner runner(opts);
     Workload w = Suite::get("cell", opts.scaleDiv);
-    const RunResult &a = runner.baseline(w);
-    const RunResult &b = runner.baseline(w);
-    EXPECT_EQ(&a, &b); // same cached object
+    RunFuture a = runner.submit(baseConfig(opts), w.kernel);
+    RunFuture b = runner.submit(baseConfig(opts), w.kernel);
+    EXPECT_EQ(&a.get(), &b.get()); // same cached object
+    EXPECT_EQ(runner.cacheMisses(), 1u);
+    EXPECT_EQ(runner.cacheHits(), 1u);
 
     // A config that differs only in an ablation toggle must NOT hit
     // the cache (regression test for the Fig. 14 cache-key bug).
@@ -74,9 +133,11 @@ TEST(BenchCommon, RunnerCachesIdenticalRuns)
     cfg.hwPref = HwPrefKind::MTHWP;
     SimConfig ablated = cfg;
     ablated.mthwpIp = false;
-    const RunResult &full = runner.run(cfg, w.kernel);
-    const RunResult &pws = runner.run(ablated, w.kernel);
-    EXPECT_NE(&full, &pws);
+    RunFuture full = runner.submit(cfg, w.kernel);
+    RunFuture pws = runner.submit(ablated, w.kernel);
+    EXPECT_NE(&full.get(), &pws.get());
+    EXPECT_EQ(runner.cacheMisses(), 3u);
+    EXPECT_EQ(runner.fingerprints().size(), 3u);
 }
 
 } // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <future>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -103,6 +104,38 @@ TEST(RunCache, MemoizesIdenticalSubmissions)
     EXPECT_EQ(cache.misses(), 1u);
     EXPECT_EQ(cache.hits(), 3u);
     EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(RunCache, SubmitFutureAndResultAliasOneRunResult)
+{
+    SimConfig cfg = test::tinyConfig();
+    KernelDesc k = test::tinyMpKernel();
+    ParallelExecutor exec(2);
+    RunCache cache(exec);
+    std::shared_future<RunResult> first = cache.submit(cfg, k);
+    std::shared_future<RunResult> again = cache.submit(cfg, k);
+    EXPECT_EQ(&first.get(), &again.get());
+    EXPECT_EQ(&first.get(), &cache.result(cfg, k));
+}
+
+TEST(RunCache, HitsCountDuplicateSubmissionsWhenReadThroughFutures)
+{
+    SimConfig cfg = test::tinyConfig();
+    KernelDesc a = test::tinyMpKernel(2, 4);
+    KernelDesc b = test::tinyMpKernel(2, 6);
+    ParallelExecutor exec(2);
+    RunCache cache(exec);
+    std::vector<std::shared_future<RunResult>> runs = {
+        cache.submit(cfg, a), cache.submit(cfg, b), cache.submit(cfg, a)};
+    for (const auto &run : runs)
+        run.get();
+    // Reading through the futures adds no lookups: only the one
+    // duplicate submission counts as a hit.
+    EXPECT_EQ(cache.misses(), 2u);
+    EXPECT_EQ(cache.hits(), 1u);
+    // Re-deriving a key with result() is another lookup, so it counts.
+    cache.result(cfg, b);
+    EXPECT_EQ(cache.hits(), 2u);
 }
 
 /**

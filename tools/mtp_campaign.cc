@@ -227,7 +227,9 @@ main(int argc, char **argv)
              hostProfileOut = v;
          }},
         {"--watchdog-sec", true,
-         [&](const std::string &v) { watchdogSec = std::stod(v); }},
+         [&](const std::string &v) {
+             watchdogSec = parseSeconds("--watchdog-sec", v);
+         }},
     };
     Options opts = parseArgs(
         argc, argv, extra,
@@ -270,8 +272,6 @@ main(int argc, char **argv)
         if (hostProfileOut.empty())
             hostProfileOut = out + ".host.jsonl";
     }
-    if (watchdogSec < 0.0 || watchdogSec != watchdogSec)
-        MTP_FATAL("--watchdog-sec must be > 0");
     std::unique_ptr<obs::Watchdog> watchdog;
     if (watchdogSec > 0.0) {
         obs::FlightRecorder::installCrashHandler();
@@ -329,8 +329,6 @@ main(int argc, char **argv)
             {"host.cache.hits", static_cast<double>(res.cacheHits)},
             {"host.cache.misses",
              static_cast<double>(res.cacheMisses)},
-            {"host.cache.evictions",
-             static_cast<double>(res.cacheEvictions)},
             {"host.exec.threads",
              static_cast<double>(res.executorThreads)},
             {"host.exec.steals", static_cast<double>(res.steals)},

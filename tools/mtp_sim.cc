@@ -13,6 +13,7 @@
  */
 
 #include <fstream>
+#include <future>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -273,13 +274,14 @@ main(int argc, char **argv)
     // order; with any --jobs value the output is byte-identical.
     driver::ParallelExecutor exec(jobs);
     driver::RunCache cache(exec);
+    std::vector<std::shared_future<RunResult>> runs;
     for (std::size_t i = 0; i < kernels.size(); ++i)
-        cache.submit(cfg, kernels[i], obsFor(i));
+        runs.push_back(cache.submit(cfg, kernels[i], obsFor(i)));
 
     bool first = true;
     for (std::size_t i = 0; i < kernels.size(); ++i) {
         const KernelDesc &kernel = kernels[i];
-        const RunResult &r = cache.result(cfg, kernel);
+        const RunResult &r = runs[i].get();
 
         if (!quiet) {
             if (!first)
@@ -325,9 +327,6 @@ main(int argc, char **argv)
             full.add("host.cache.misses",
                      static_cast<double>(cache.misses()),
                      "distinct runs scheduled");
-            full.add("host.cache.evictions",
-                     static_cast<double>(cache.evictions()),
-                     "entries discarded (0 by contract)");
             full.add("host.cache.entries",
                      static_cast<double>(cache.size()),
                      "distinct entries resident");
@@ -371,8 +370,6 @@ main(int argc, char **argv)
         std::vector<std::pair<std::string, double>> counters = {
             {"host.cache.hits", static_cast<double>(cache.hits())},
             {"host.cache.misses", static_cast<double>(cache.misses())},
-            {"host.cache.evictions",
-             static_cast<double>(cache.evictions())},
             {"host.cache.entries", static_cast<double>(cache.size())},
             {"host.exec.threads", static_cast<double>(exec.threads())},
             {"host.exec.executed", static_cast<double>(exec.executed())},
