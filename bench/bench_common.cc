@@ -1,49 +1,16 @@
 #include "bench/bench_common.hh"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <climits>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 
 #include "driver/fingerprint.hh"
 
 namespace mtp {
 namespace bench {
-
-std::uint64_t
-parseCount(const std::string &flag, const std::string &text,
-           std::uint64_t min, std::uint64_t max)
-{
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    // strtoull accepts leading blanks and signs (wrapping "-1"), so
-    // the text must also start with a digit.
-    bool digits =
-        !text.empty() && std::isdigit(static_cast<unsigned char>(text[0]));
-    if (!digits || *end != '\0' || errno == ERANGE || v < min || v > max)
-        MTP_FATAL(flag, " expects an integer in [", min, ", ", max,
-                  "], got '", text, "'");
-    return v;
-}
-
-double
-parseSeconds(const std::string &flag, const std::string &text)
-{
-    char *end = nullptr;
-    double v = std::strtod(text.c_str(), &end);
-    bool digits =
-        !text.empty() && std::isdigit(static_cast<unsigned char>(text[0]));
-    if (!digits || *end != '\0' || !std::isfinite(v))
-        MTP_FATAL(flag, " expects a number of seconds >= 0, got '",
-                  text, "'");
-    return v;
-}
 
 Options
 parseArgs(int argc, char **argv, const std::vector<FlagSpec> &extra,
@@ -73,7 +40,7 @@ parseArgs(int argc, char **argv, const std::vector<FlagSpec> &extra,
         }
         if (arg == "--scale" && i + 1 < argc) {
             opts.scaleDiv = static_cast<unsigned>(
-                parseCount(arg, argv[++i], 1, UINT_MAX));
+                parseUint(arg, argv[++i], 1, UINT_MAX));
             // Keep the throttle period proportional to run length.
             opts.throttlePeriod =
                 std::max<Cycle>(1000, 40000 / opts.scaleDiv);
@@ -84,10 +51,10 @@ parseArgs(int argc, char **argv, const std::vector<FlagSpec> &extra,
                 opts.benchmarks.push_back(name);
         } else if (arg == "--jobs" && i + 1 < argc) {
             opts.jobs = static_cast<unsigned>(
-                parseCount(arg, argv[++i], 1, kMaxJobs));
+                parseUint(arg, argv[++i], 1, driver::kMaxJobs));
         } else if (arg == "--sample-period" && i + 1 < argc) {
             opts.samplePeriod =
-                parseCount(arg, argv[++i], 0, UINT64_MAX);
+                parseUint(arg, argv[++i], 0, UINT64_MAX);
         } else if (arg == "--json" && i + 1 < argc) {
             opts.jsonOut = argv[++i];
         } else if (arg == "--quiet" || arg == "-q") {

@@ -54,21 +54,6 @@ struct FlagSpec
     std::function<void(const std::string &)> handler;
 };
 
-/** Upper bound of --jobs: each job is one worker thread. */
-constexpr unsigned kMaxJobs = 1024;
-
-/**
- * Parse @p text as the decimal value of @p flag. Non-numeric,
- * negative and out-of-[@p min, @p max] values are fatal, naming the
- * flag.
- */
-std::uint64_t parseCount(const std::string &flag, const std::string &text,
-                         std::uint64_t min, std::uint64_t max);
-
-/** Parse @p text as a finite, non-negative number of seconds for
- *  @p flag; anything else is fatal, naming the flag. */
-double parseSeconds(const std::string &flag, const std::string &text);
-
 /** Parse argv; recognises --scale, --bench, --jobs, --sample-period,
  *  --json, --quiet, key=value overrides and any @p extra harness
  *  flags. Unknown flags and malformed numeric values are fatal with a

@@ -24,17 +24,19 @@
  *          [--disabled-only]
  *
  * The CLI matches the shared harness conventions (--json aliases
- * --out, --quiet, --jobs accepted as a no-op, the same
- * unknown-flag error) but is parsed by hand: this source is also
- * compiled against the no-obs stack (bench_obs_overhead_noobs), which
- * cannot link the bench_common library without colliding with the
- * instrumented simulator symbols.
+ * --out, --quiet, --jobs checked but unused, the same numeric
+ * grammar and unknown-flag error) but is parsed by hand: this source
+ * is also compiled against the no-obs stack (bench_obs_overhead_noobs),
+ * which cannot link the bench_common library without colliding with
+ * the instrumented simulator symbols.
  */
 
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -109,18 +111,22 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--scale" && i + 1 < argc) {
-            scaleDiv = static_cast<unsigned>(std::atoi(argv[++i]));
+            scaleDiv =
+                static_cast<unsigned>(parseUint(arg, argv[++i], 1, UINT_MAX));
         } else if (arg == "--reps" && i + 1 < argc) {
-            reps = static_cast<unsigned>(std::atoi(argv[++i]));
+            reps =
+                static_cast<unsigned>(parseUint(arg, argv[++i], 1, UINT_MAX));
         } else if ((arg == "--out" || arg == "--json") && i + 1 < argc) {
             out = argv[++i];
         } else if (arg == "--compare-with" && i + 1 < argc) {
             compareWith = argv[++i];
         } else if (arg == "--threshold" && i + 1 < argc) {
-            thresholdPct = std::atof(argv[++i]);
+            thresholdPct = parseReal(arg, argv[++i], 0.0,
+                                     std::numeric_limits<double>::max());
         } else if (arg == "--jobs" && i + 1 < argc) {
-            ++i; // accepted for CLI uniformity; a timing harness
-                 // must stay a single serial process
+            // Checked like every --jobs but unused: a timing harness
+            // must stay a single serial process.
+            parseUint(arg, argv[++i], 1, driver::kMaxJobs);
         } else if (arg == "--smoke") {
             smoke = true;
         } else if (arg == "--quiet" || arg == "-q") {

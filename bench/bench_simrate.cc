@@ -37,6 +37,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -231,12 +232,8 @@ gateAttemptBudget()
     const char *env = std::getenv("MTP_BENCH_RETRIES");
     if (!env || !*env)
         return 4;
-    char *end = nullptr;
-    unsigned long v = std::strtoul(env, &end, 10);
-    if (end == env || *end != '\0' || v == 0)
-        MTP_FATAL("MTP_BENCH_RETRIES must be a positive integer, got '",
-                  env, "'");
-    return static_cast<unsigned>(v);
+    return static_cast<unsigned>(
+        parseUint("MTP_BENCH_RETRIES", env, 1, UINT_MAX));
 }
 
 void

@@ -1,11 +1,13 @@
 #include "common/config.hh"
 
 #include <functional>
+#include <limits>
 #include <map>
 #include <ostream>
 
 #include "common/bitutils.hh"
 #include "common/log.hh"
+#include "common/parse.hh"
 
 namespace mtp {
 
@@ -74,48 +76,6 @@ namespace {
 
 using Setter = std::function<void(SimConfig &, const std::string &)>;
 
-unsigned
-parseUnsigned(const std::string &key, const std::string &value)
-{
-    try {
-        std::size_t pos = 0;
-        unsigned long v = std::stoul(value, &pos);
-        if (pos != value.size())
-            throw std::invalid_argument(value);
-        return static_cast<unsigned>(v);
-    } catch (const std::exception &) {
-        MTP_FATAL("bad unsigned value '", value, "' for key '", key, "'");
-    }
-}
-
-std::uint64_t
-parseU64(const std::string &key, const std::string &value)
-{
-    try {
-        std::size_t pos = 0;
-        unsigned long long v = std::stoull(value, &pos);
-        if (pos != value.size())
-            throw std::invalid_argument(value);
-        return v;
-    } catch (const std::exception &) {
-        MTP_FATAL("bad integer value '", value, "' for key '", key, "'");
-    }
-}
-
-double
-parseDouble(const std::string &key, const std::string &value)
-{
-    try {
-        std::size_t pos = 0;
-        double v = std::stod(value, &pos);
-        if (pos != value.size())
-            throw std::invalid_argument(value);
-        return v;
-    } catch (const std::exception &) {
-        MTP_FATAL("bad float value '", value, "' for key '", key, "'");
-    }
-}
-
 bool
 parseBool(const std::string &key, const std::string &value)
 {
@@ -126,15 +86,16 @@ parseBool(const std::string &key, const std::string &value)
     MTP_FATAL("bad bool value '", value, "' for key '", key, "'");
 }
 
-#define UNSIGNED_FIELD(field) \
+#define UINT_FIELD(field) \
     {#field, [](SimConfig &c, const std::string &v) { \
-        c.field = parseUnsigned(#field, v); }}
-#define U64_FIELD(field) \
-    {#field, [](SimConfig &c, const std::string &v) { \
-        c.field = parseU64(#field, v); }}
+        using T = decltype(c.field); \
+        c.field = static_cast<T>(parseUint( \
+            #field, v, 0, std::numeric_limits<T>::max())); }}
 #define DOUBLE_FIELD(field) \
     {#field, [](SimConfig &c, const std::string &v) { \
-        c.field = parseDouble(#field, v); }}
+        c.field = parseReal(#field, v, \
+            std::numeric_limits<double>::lowest(), \
+            std::numeric_limits<double>::max()); }}
 #define BOOL_FIELD(field) \
     {#field, [](SimConfig &c, const std::string &v) { \
         c.field = parseBool(#field, v); }}
@@ -143,58 +104,55 @@ const std::map<std::string, Setter> &
 setters()
 {
     static const std::map<std::string, Setter> table = {
-        UNSIGNED_FIELD(numCores),
-        UNSIGNED_FIELD(simdWidth),
-        UNSIGNED_FIELD(fetchWidth),
-        UNSIGNED_FIELD(decodeCycles),
-        UNSIGNED_FIELD(latencyOther),
-        UNSIGNED_FIELD(latencyImul),
-        UNSIGNED_FIELD(latencyFdiv),
-        UNSIGNED_FIELD(mrqEntries),
-        UNSIGNED_FIELD(mshrEntries),
-        UNSIGNED_FIELD(prefMshrEntries),
-        UNSIGNED_FIELD(maxBlocksPerCore),
-        UNSIGNED_FIELD(icntLatency),
-        UNSIGNED_FIELD(icntCoresPerPort),
-        UNSIGNED_FIELD(dramChannels),
-        UNSIGNED_FIELD(dramBanks),
-        UNSIGNED_FIELD(dramRowBytes),
-        UNSIGNED_FIELD(dramTCL),
-        UNSIGNED_FIELD(dramTRCD),
-        UNSIGNED_FIELD(dramTRP),
-        UNSIGNED_FIELD(memBufEntries),
-        UNSIGNED_FIELD(dramBusBytesPerCycle),
-        UNSIGNED_FIELD(memClockNum),
-        UNSIGNED_FIELD(memClockDen),
+        UINT_FIELD(numCores),
+        UINT_FIELD(decodeCycles),
+        UINT_FIELD(latencyOther),
+        UINT_FIELD(latencyImul),
+        UINT_FIELD(latencyFdiv),
+        UINT_FIELD(mrqEntries),
+        UINT_FIELD(mshrEntries),
+        UINT_FIELD(prefMshrEntries),
+        UINT_FIELD(maxBlocksPerCore),
+        UINT_FIELD(icntLatency),
+        UINT_FIELD(icntCoresPerPort),
+        UINT_FIELD(dramChannels),
+        UINT_FIELD(dramBanks),
+        UINT_FIELD(dramRowBytes),
+        UINT_FIELD(dramTCL),
+        UINT_FIELD(dramTRCD),
+        UINT_FIELD(dramTRP),
+        UINT_FIELD(memBufEntries),
+        UINT_FIELD(dramBusBytesPerCycle),
+        UINT_FIELD(memClockNum),
+        UINT_FIELD(memClockDen),
         BOOL_FIELD(demandPriority),
-        UNSIGNED_FIELD(memLatencyExtra),
-        UNSIGNED_FIELD(sharedMemBytes),
-        UNSIGNED_FIELD(prefCacheBytes),
-        UNSIGNED_FIELD(prefCacheAssoc),
+        UINT_FIELD(memLatencyExtra),
+        UINT_FIELD(prefCacheBytes),
+        UINT_FIELD(prefCacheAssoc),
         {"hwPref", [](SimConfig &c, const std::string &v) {
              c.hwPref = parseHwPrefKind(v); }},
         BOOL_FIELD(hwPrefWarpTraining),
-        UNSIGNED_FIELD(prefDistance),
-        UNSIGNED_FIELD(prefDegree),
-        UNSIGNED_FIELD(ipDistanceWarps),
-        UNSIGNED_FIELD(strideRptEntries),
-        UNSIGNED_FIELD(strideRptRegionBits),
-        UNSIGNED_FIELD(stridePcEntries),
-        UNSIGNED_FIELD(streamEntries),
-        UNSIGNED_FIELD(ghbEntries),
-        UNSIGNED_FIELD(ghbCzoneBits),
-        UNSIGNED_FIELD(ghbIndexEntries),
-        UNSIGNED_FIELD(pwsEntries),
-        UNSIGNED_FIELD(gsEntries),
-        UNSIGNED_FIELD(ipEntries),
-        UNSIGNED_FIELD(gsPromoteCount),
-        UNSIGNED_FIELD(ipTrainCount),
+        UINT_FIELD(prefDistance),
+        UINT_FIELD(prefDegree),
+        UINT_FIELD(ipDistanceWarps),
+        UINT_FIELD(strideRptEntries),
+        UINT_FIELD(strideRptRegionBits),
+        UINT_FIELD(stridePcEntries),
+        UINT_FIELD(streamEntries),
+        UINT_FIELD(ghbEntries),
+        UINT_FIELD(ghbCzoneBits),
+        UINT_FIELD(ghbIndexEntries),
+        UINT_FIELD(pwsEntries),
+        UINT_FIELD(gsEntries),
+        UINT_FIELD(ipEntries),
+        UINT_FIELD(gsPromoteCount),
+        UINT_FIELD(ipTrainCount),
         BOOL_FIELD(mthwpPws),
         BOOL_FIELD(mthwpGs),
         BOOL_FIELD(mthwpIp),
         BOOL_FIELD(throttleEnable),
-        U64_FIELD(throttlePeriod),
-        UNSIGNED_FIELD(throttleInitDegree),
+        UINT_FIELD(throttlePeriod),
+        UINT_FIELD(throttleInitDegree),
         DOUBLE_FIELD(earlyEvictHigh),
         DOUBLE_FIELD(earlyEvictLow),
         DOUBLE_FIELD(mergeHigh),
@@ -203,15 +161,13 @@ setters()
         BOOL_FIELD(schedGreedy),
         BOOL_FIELD(dispatchContiguous),
         BOOL_FIELD(perfectMemory),
-        U64_FIELD(maxCycles),
-        U64_FIELD(seed),
+        UINT_FIELD(maxCycles),
         BOOL_FIELD(fastForward),
     };
     return table;
 }
 
-#undef UNSIGNED_FIELD
-#undef U64_FIELD
+#undef UINT_FIELD
 #undef DOUBLE_FIELD
 #undef BOOL_FIELD
 
@@ -245,8 +201,6 @@ SimConfig::validate() const
 {
     if (numCores == 0)
         MTP_FATAL("numCores must be > 0");
-    if (simdWidth == 0 || warpSize % simdWidth != 0)
-        MTP_FATAL("simdWidth must divide the warp size (32)");
     if (!isPowerOf2(prefCacheBytes) || prefCacheBytes < blockBytes)
         MTP_FATAL("prefCacheBytes must be a power of two >= ", blockBytes);
     unsigned pref_blocks = prefCacheBytes / blockBytes;
@@ -272,8 +226,6 @@ void
 SimConfig::dump(std::ostream &os) const
 {
     os << "numCores = " << numCores << '\n'
-       << "simdWidth = " << simdWidth << '\n'
-       << "fetchWidth = " << fetchWidth << '\n'
        << "decodeCycles = " << decodeCycles << '\n'
        << "latencyOther = " << latencyOther << '\n'
        << "latencyImul = " << latencyImul << '\n'
@@ -295,7 +247,6 @@ SimConfig::dump(std::ostream &os) const
        << "memClock = " << memClockNum << '/' << memClockDen << '\n'
        << "demandPriority = " << demandPriority << '\n'
        << "memLatencyExtra = " << memLatencyExtra << '\n'
-       << "sharedMemBytes = " << sharedMemBytes << '\n'
        << "prefCacheBytes = " << prefCacheBytes << '\n'
        << "prefCacheAssoc = " << prefCacheAssoc << '\n'
        << "hwPref = " << toString(hwPref) << '\n'
@@ -330,7 +281,6 @@ SimConfig::dump(std::ostream &os) const
        << "dispatchContiguous = " << dispatchContiguous << '\n'
        << "perfectMemory = " << perfectMemory << '\n'
        << "maxCycles = " << maxCycles << '\n'
-       << "seed = " << seed << '\n'
        << "fastForward = " << fastForward << '\n';
 }
 

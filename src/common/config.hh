@@ -53,11 +53,10 @@ std::string toString(SwPrefKind kind);
 struct SimConfig
 {
     // ------------------------------------------------------------------
-    // Cores (Table II: 14 cores, 8-wide SIMD, 900 MHz, in-order)
+    // Cores (Table II: 14 cores, 900 MHz, in-order; the 8-wide SIMD
+    // and one warp-instruction fetch per cycle are fixed in the core)
     // ------------------------------------------------------------------
     unsigned numCores = 14;       //!< number of SIMT cores
-    unsigned simdWidth = 8;       //!< SIMD lanes per core
-    unsigned fetchWidth = 1;      //!< warp-instructions fetched per cycle
     unsigned decodeCycles = 5;    //!< decode depth; stall on branch
     unsigned latencyOther = 4;    //!< cycles/warp for ordinary instructions
     unsigned latencyImul = 16;    //!< cycles/warp for integer multiply
@@ -109,7 +108,6 @@ struct SimConfig
     // ------------------------------------------------------------------
     // On-chip storage (Table II)
     // ------------------------------------------------------------------
-    unsigned sharedMemBytes = 16 * 1024; //!< software-managed cache
     unsigned prefCacheBytes = 16 * 1024; //!< prefetch cache capacity
     unsigned prefCacheAssoc = 8;         //!< prefetch cache associativity
 
@@ -193,7 +191,6 @@ struct SimConfig
     // ------------------------------------------------------------------
     bool perfectMemory = false;   //!< all memory requests take 1 cycle
     Cycle maxCycles = 400'000'000; //!< safety cap; runs must finish first
-    std::uint64_t seed = 1;       //!< deterministic RNG seed
     /**
      * Event-driven cycle skipping: Gpu::run() runs the event-queue
      * schedule, in which components self-arm their next tick, only due

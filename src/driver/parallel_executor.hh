@@ -44,6 +44,9 @@
 namespace mtp {
 namespace driver {
 
+/** Upper bound of every --jobs flag: each job is one worker thread. */
+constexpr unsigned kMaxJobs = 1024;
+
 class ParallelExecutor
 {
   public:

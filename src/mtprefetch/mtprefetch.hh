@@ -20,6 +20,7 @@
 
 #include "common/config.hh"
 #include "common/log.hh"
+#include "common/parse.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "core/mt_hwp.hh"

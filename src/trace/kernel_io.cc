@@ -1,9 +1,13 @@
 #include "trace/kernel_io.hh"
 
+#include <climits>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/log.hh"
+#include "common/parse.hh"
 
 namespace mtp {
 
@@ -20,47 +24,12 @@ writePattern(std::ostream &os, const AddressPattern &p)
            << p.scatterSalt;
 }
 
-/** Parse an unsigned (decimal or 0x hex) token. */
-std::uint64_t
-parseNum(const std::string &tok, const std::string &ctx)
+/** Parse a value slot: -1 (none) or a register slot index. */
+std::int8_t
+parseSlot(const std::string &tok, const std::string &ctx)
 {
-    try {
-        std::size_t pos = 0;
-        std::uint64_t v = std::stoull(tok, &pos, 0);
-        if (pos != tok.size())
-            throw std::invalid_argument(tok);
-        return v;
-    } catch (const std::exception &) {
-        MTP_FATAL(ctx, ": bad number '", tok, "'");
-    }
-}
-
-std::int64_t
-parseSigned(const std::string &tok, const std::string &ctx)
-{
-    try {
-        std::size_t pos = 0;
-        std::int64_t v = std::stoll(tok, &pos, 0);
-        if (pos != tok.size())
-            throw std::invalid_argument(tok);
-        return v;
-    } catch (const std::exception &) {
-        MTP_FATAL(ctx, ": bad number '", tok, "'");
-    }
-}
-
-double
-parseDouble(const std::string &tok, const std::string &ctx)
-{
-    try {
-        std::size_t pos = 0;
-        double v = std::stod(tok, &pos);
-        if (pos != tok.size())
-            throw std::invalid_argument(tok);
-        return v;
-    } catch (const std::exception &) {
-        MTP_FATAL(ctx, ": bad number '", tok, "'");
-    }
+    return static_cast<std::int8_t>(
+        parseInt(ctx, tok, INT8_MIN, INT8_MAX));
 }
 
 /**
@@ -74,17 +43,19 @@ parsePattern(const std::vector<std::string> &toks, std::size_t &idx,
     if (idx + 4 > toks.size())
         MTP_FATAL(ctx, ": truncated address pattern");
     AddressPattern p;
-    p.base = parseNum(toks[idx++], ctx);
-    p.threadStride = parseSigned(toks[idx++], ctx);
-    p.iterStride = parseSigned(toks[idx++], ctx);
-    p.elemBytes = static_cast<unsigned>(parseNum(toks[idx++], ctx));
+    p.base = parseUint(ctx, toks[idx++], 0, UINT64_MAX);
+    p.threadStride = parseInt(ctx, toks[idx++], INT64_MIN, INT64_MAX);
+    p.iterStride = parseInt(ctx, toks[idx++], INT64_MIN, INT64_MAX);
+    p.elemBytes =
+        static_cast<unsigned>(parseUint(ctx, toks[idx++], 0, UINT_MAX));
     // Optional scatter triple: detect by a leading numeric token that
     // parses as a fraction.
     if (idx + 3 <= toks.size() && !toks[idx].empty() &&
         (std::isdigit(toks[idx][0]) || toks[idx][0] == '.')) {
-        p.scatterFrac = parseDouble(toks[idx++], ctx);
-        p.scatterSpan = parseNum(toks[idx++], ctx);
-        p.scatterSalt = parseNum(toks[idx++], ctx);
+        p.scatterFrac = parseReal(ctx, toks[idx++], 0.0,
+                                  std::numeric_limits<double>::max());
+        p.scatterSpan = parseUint(ctx, toks[idx++], 0, UINT64_MAX);
+        p.scatterSalt = parseUint(ctx, toks[idx++], 0, UINT64_MAX);
     }
     return p;
 }
@@ -187,18 +158,18 @@ readKernel(std::istream &is, const std::string &source)
             if (toks.size() != 4)
                 MTP_FATAL(ctx, ": 'grid' needs 3 fields");
             k.warpsPerBlock =
-                static_cast<unsigned>(parseNum(toks[1], ctx));
-            k.numBlocks = parseNum(toks[2], ctx);
+                static_cast<unsigned>(parseUint(ctx, toks[1], 0, UINT_MAX));
+            k.numBlocks = parseUint(ctx, toks[2], 0, UINT64_MAX);
             k.maxBlocksPerCore =
-                static_cast<unsigned>(parseNum(toks[3], ctx));
+                static_cast<unsigned>(parseUint(ctx, toks[3], 0, UINT_MAX));
             saw_grid = true;
         } else if (cmd == "segment") {
             if (toks.size() != 2)
                 MTP_FATAL(ctx, ": 'segment' needs a trip count");
             k.segments.emplace_back();
             seg = &k.segments.back();
-            seg->trips =
-                static_cast<std::uint32_t>(parseNum(toks[1], ctx));
+            seg->trips = static_cast<std::uint32_t>(
+                parseUint(ctx, toks[1], 0, UINT32_MAX));
         } else if (cmd == "end") {
             seg = nullptr;
         } else {
@@ -211,29 +182,21 @@ readKernel(std::istream &is, const std::string &source)
             std::size_t idx = 1;
             if (cmd == "comp") {
                 inst = StaticInst::comp(static_cast<unsigned>(
-                    parseNum(toks[1], ctx)));
+                    parseUint(ctx, toks[1], 0, UINT16_MAX)));
                 idx = 2;
-                if (idx + 2 <= toks.size()) {
-                    inst.srcSlots = {
-                        static_cast<std::int8_t>(
-                            parseSigned(toks[idx], ctx)),
-                        static_cast<std::int8_t>(
-                            parseSigned(toks[idx + 1], ctx))};
-                }
+                if (idx + 2 <= toks.size())
+                    inst.srcSlots = {parseSlot(toks[idx], ctx),
+                                     parseSlot(toks[idx + 1], ctx)};
             } else if (cmd == "imul" || cmd == "fdiv") {
                 inst = cmd == "imul" ? StaticInst::imul()
                                      : StaticInst::fdiv();
-                if (toks.size() >= 3) {
-                    inst.srcSlots = {
-                        static_cast<std::int8_t>(parseSigned(toks[1],
-                                                             ctx)),
-                        static_cast<std::int8_t>(parseSigned(toks[2],
-                                                             ctx))};
-                }
+                if (toks.size() >= 3)
+                    inst.srcSlots = {parseSlot(toks[1], ctx),
+                                     parseSlot(toks[2], ctx)};
             } else if (cmd == "branch") {
                 inst = StaticInst::branch();
             } else if (cmd == "load") {
-                int dest = static_cast<int>(parseSigned(toks[1], ctx));
+                std::int8_t dest = parseSlot(toks[1], ctx);
                 idx = 2;
                 AddressPattern p = parsePattern(toks, idx, ctx);
                 inst = StaticInst::load(p, dest);
@@ -243,14 +206,14 @@ readKernel(std::istream &is, const std::string &source)
                     else if (toks[idx] == "regpref")
                         inst.regPrefetch = true;
                     else if (toks[idx].rfind("src=", 0) == 0)
-                        inst.srcSlots[0] = static_cast<std::int8_t>(
-                            parseSigned(toks[idx].substr(4), ctx));
+                        inst.srcSlots[0] =
+                            parseSlot(toks[idx].substr(4), ctx);
                     else
                         MTP_FATAL(ctx, ": unknown load flag '",
                                   toks[idx], "'");
                 }
             } else if (cmd == "store") {
-                int src = static_cast<int>(parseSigned(toks[1], ctx));
+                std::int8_t src = parseSlot(toks[1], ctx);
                 idx = 2;
                 AddressPattern p = parsePattern(toks, idx, ctx);
                 inst = StaticInst::store(p, src);

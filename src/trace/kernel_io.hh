@@ -21,7 +21,9 @@
  *     pref   <base> <threadStride> <iterStride> <elemBytes>
  *   end
  *
- * `segment`/`end` pairs repeat; addresses accept 0x-prefixed hex.
+ * `segment`/`end` pairs repeat. Numbers follow common/parse.hh
+ * (decimal or 0x-prefixed hex, `-` only on strides and slots); a
+ * number outside its field's range is a `file:line` error.
  */
 
 #ifndef MTP_TRACE_KERNEL_IO_HH

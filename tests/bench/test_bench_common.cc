@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "bench/bench_common.hh"
 
 namespace mtp {
@@ -64,7 +66,7 @@ TEST(BenchCommon, ParseArgsRejectsBadNumbersNamingTheFlag)
 TEST(BenchCommon, ParseArgsAcceptsNumericBounds)
 {
     EXPECT_EQ(parseFlag("--scale", "4294967295").scaleDiv, 4294967295u);
-    EXPECT_EQ(parseFlag("--jobs", "1024").jobs, kMaxJobs);
+    EXPECT_EQ(parseFlag("--jobs", "1024").jobs, driver::kMaxJobs);
     EXPECT_EQ(parseFlag("--sample-period", "0").samplePeriod, 0u);
     EXPECT_EQ(parseFlag("--sample-period", "18446744073709551615")
                   .samplePeriod,
@@ -78,12 +80,20 @@ TEST(BenchCommon, TraceOutIsNotAHarnessFlag)
                 "unknown argument '--trace-out'");
 }
 
+/** --watchdog-sec as mtp-sim and mtp-campaign read it. */
+double
+watchdogSec(const char *text)
+{
+    return parseReal("--watchdog-sec", text, 0.0,
+                     std::numeric_limits<double>::max());
+}
+
 TEST(BenchCommon, ParseSecondsRejectsNonNumbers)
 {
-    EXPECT_DOUBLE_EQ(parseSeconds("--watchdog-sec", "2.5"), 2.5);
-    EXPECT_DOUBLE_EQ(parseSeconds("--watchdog-sec", "0"), 0.0);
+    EXPECT_DOUBLE_EQ(watchdogSec("2.5"), 2.5);
+    EXPECT_DOUBLE_EQ(watchdogSec("0"), 0.0);
     for (const char *bad : {"x", "", "-1", "nan", "inf", "1e999", "3s"}) {
-        EXPECT_EXIT(parseSeconds("--watchdog-sec", bad),
+        EXPECT_EXIT(watchdogSec(bad),
                     ::testing::ExitedWithCode(1), "--watchdog-sec")
             << "'" << bad << "'";
     }

@@ -11,7 +11,6 @@ TEST(Config, DefaultsMatchTableII)
 {
     SimConfig cfg;
     EXPECT_EQ(cfg.numCores, 14u);
-    EXPECT_EQ(cfg.simdWidth, 8u);
     EXPECT_EQ(cfg.latencyImul, 16u);
     EXPECT_EQ(cfg.latencyFdiv, 32u);
     EXPECT_EQ(cfg.latencyOther, 4u);
@@ -50,6 +49,47 @@ TEST(Config, ApplyOverride)
     cfg.applyOverrides({"prefDistance=3", "prefDegree=2"});
     EXPECT_EQ(cfg.prefDistance, 3u);
     EXPECT_EQ(cfg.prefDegree, 2u);
+}
+
+TEST(Config, OverrideRejectsWrappedAndNonFiniteValues)
+{
+    for (const char *kv : {"numCores=-1", "numCores=4294967310",
+                           "numCores=", "numCores= 14", "numCores=+14",
+                           "maxCycles=18446744073709551616"}) {
+        SimConfig cfg;
+        EXPECT_EXIT(cfg.applyOverride(kv), ::testing::ExitedWithCode(1),
+                    std::string(kv).substr(0, std::string(kv).find('=')))
+            << kv;
+    }
+    for (const char *kv : {"earlyEvictHigh=nan", "earlyEvictHigh=inf",
+                           "earlyEvictHigh=1e999", "earlyEvictHigh=0.5x"}) {
+        SimConfig cfg;
+        EXPECT_EXIT(cfg.applyOverride(kv), ::testing::ExitedWithCode(1),
+                    "earlyEvictHigh")
+            << kv;
+    }
+}
+
+TEST(Config, OverrideKeepsTheFullFieldRange)
+{
+    SimConfig cfg;
+    cfg.applyOverride("numCores=4294967295");
+    EXPECT_EQ(cfg.numCores, 4294967295u);
+    cfg.applyOverride("maxCycles=0x10");
+    EXPECT_EQ(cfg.maxCycles, 16u);
+    cfg.applyOverride("earlyEvictLow=-0.25");
+    EXPECT_DOUBLE_EQ(cfg.earlyEvictLow, -0.25);
+}
+
+TEST(Config, DeadKeysAreGone)
+{
+    for (const char *kv : {"seed=1", "simdWidth=8", "fetchWidth=1",
+                           "sharedMemBytes=16384"}) {
+        SimConfig cfg;
+        EXPECT_EXIT(cfg.applyOverride(kv), ::testing::ExitedWithCode(1),
+                    "unknown config key")
+            << kv;
+    }
 }
 
 TEST(Config, ParseKinds)

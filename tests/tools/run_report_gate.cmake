@@ -1,14 +1,15 @@
 # CTest driver for the mtp-report regression gate. Invoked as
 #
-#   cmake -DMTP_SIM=<path> -DMTP_REPORT=<path> -DDATA_DIR=<path>
-#         -DWORK_DIR=<path> -P run_report_gate.cmake
+#   cmake -DMTP_SIM=<path> -DMTP_REPORT=<path> -DBENCH_OBS_OVERHEAD=<path>
+#         -DDATA_DIR=<path> -DWORK_DIR=<path> -P run_report_gate.cmake
 #
 # Exercises the full artifact pipeline end to end: re-simulates the
 # golden workload, checks the report modes run clean on real inputs,
 # gates the fresh run against the checked-in golden snapshot, and
-# verifies a known-regressed snapshot actually trips the gate.
+# verifies a known-regressed snapshot actually trips the gate. Last,
+# malformed numeric flags must exit 1 with a message naming the flag.
 
-foreach(var MTP_SIM MTP_REPORT DATA_DIR WORK_DIR)
+foreach(var MTP_SIM MTP_REPORT BENCH_OBS_OVERHEAD DATA_DIR WORK_DIR)
     if(NOT DEFINED ${var})
         message(FATAL_ERROR "${var} must be defined")
     endif()
@@ -18,12 +19,20 @@ set(GOLDEN "${DATA_DIR}/golden_stream_base.json")
 set(MTHWP "${DATA_DIR}/golden_stream_mthwp.json")
 set(REGRESSED "${DATA_DIR}/golden_stream_regressed.json")
 
+# run_step(<status> [MATCH <regex>] <command...>): the command must
+# exit with <status> and, given MATCH, print output matching <regex>.
 function(run_step expect_status)
-    execute_process(COMMAND ${ARGN} RESULT_VARIABLE status)
+    cmake_parse_arguments(PARSE_ARGV 1 STEP "" "MATCH" "")
+    execute_process(COMMAND ${STEP_UNPARSED_ARGUMENTS}
+        RESULT_VARIABLE status OUTPUT_VARIABLE out ERROR_VARIABLE out)
+    string(JOIN " " cmd ${STEP_UNPARSED_ARGUMENTS})
     if(NOT status EQUAL ${expect_status})
-        string(JOIN " " cmd ${ARGN})
         message(FATAL_ERROR
-            "'${cmd}' exited ${status}, expected ${expect_status}")
+            "'${cmd}' exited ${status}, expected ${expect_status}\n${out}")
+    endif()
+    if(DEFINED STEP_MATCH AND NOT out MATCHES "${STEP_MATCH}")
+        message(FATAL_ERROR
+            "'${cmd}' output does not match '${STEP_MATCH}':\n${out}")
     endif()
 endfunction()
 
@@ -48,3 +57,13 @@ run_step(1 ${MTP_REPORT} diff ${GOLDEN} ${REGRESSED} --gate 5)
 
 # 5. ... and pass when the gate is wide enough to absorb it.
 run_step(0 ${MTP_REPORT} diff ${GOLDEN} ${REGRESSED} --gate 50)
+
+# 6. Malformed numbers are located input errors (exit 1 naming the
+#    flag), never an abort, a signal or a NaN gate that passes.
+run_step(1 MATCH "--scale expects" ${MTP_SIM} --scale abc --bench stream)
+run_step(1 MATCH "--jobs expects" ${MTP_SIM} --jobs abc --bench stream)
+run_step(1 MATCH "--gate expects"
+    ${MTP_REPORT} diff ${GOLDEN} ${MTHWP} --gate nan)
+run_step(1 MATCH "--tol-rel expects"
+    ${MTP_REPORT} campaign diff a b --tol-rel x)
+run_step(1 MATCH "--scale expects" ${BENCH_OBS_OVERHEAD} --scale abc)

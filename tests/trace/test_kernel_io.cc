@@ -147,6 +147,28 @@ TEST(KernelIo, MissingOperandIsALocatedError)
     }
 }
 
+TEST(KernelIo, GridRejectsWrappedAndOverlongFields)
+{
+    for (const char *grid : {"010 -1 4294967297", "1 -1 1",
+                             "1 1 4294967297", "4294967296 1 1",
+                             "1 18446744073709551616 1", "1 +1 1"}) {
+        std::stringstream ss;
+        ss << "kernel bad\ngrid " << grid << "\n";
+        EXPECT_EXIT(readKernel(ss, "bad.kernel"),
+                    ::testing::ExitedWithCode(1), "bad\\.kernel:2")
+            << grid;
+    }
+}
+
+TEST(KernelIo, LeadingZerosAreDecimal)
+{
+    std::stringstream ss("kernel k\ngrid 010 0x10 1\nsegment 1\n"
+                         "comp 1\nend\n");
+    KernelDesc k = readKernel(ss, "k.kernel");
+    EXPECT_EQ(k.warpsPerBlock, 10u);
+    EXPECT_EQ(k.numBlocks, 16u);
+}
+
 TEST(KernelIo, FlagsRoundTrip)
 {
     KernelDesc k = test::tinyStreamKernel(1, 1, 2, 1);

@@ -36,6 +36,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -136,10 +137,13 @@ class Ticker
 
 /**
  * Run one self-timing harness as a subprocess and embed its JSON
- * artifact. Returns false (with a warning) when the binary is missing
- * or fails — an absent perf harness must not sink the whole campaign.
+ * artifact. A harness that exits nonzero is reported, and its artifact
+ * is still embedded when it parses: a failed figure (e.g. an overhead
+ * guard with "pass": false) belongs in the record. Only a missing
+ * binary or an unreadable artifact is skipped, with a warning — an
+ * absent perf harness must not sink the whole campaign.
  */
-bool
+void
 runVolatile(const std::string &benchDir, const std::string &binary,
             const std::string &extraFlags, const std::string &title,
             const std::string &anchor, const Options &opts, bool smoke,
@@ -151,7 +155,7 @@ runVolatile(const std::string &benchDir, const std::string &binary,
                      "mtp-campaign: skipping %s (no executable at %s; "
                      "use --bench-dir)\n",
                      binary.c_str(), bin.c_str());
-        return false;
+        return;
     }
     std::string cmd = "\"" + bin + "\" --quiet --out \"" + artifact +
                       "\"" + extraFlags;
@@ -160,16 +164,17 @@ runVolatile(const std::string &benchDir, const std::string &binary,
     else
         cmd += " --scale " + std::to_string(opts.scaleDiv);
 
+    // A stale artifact from an earlier campaign must not stand in for
+    // this run's.
+    std::remove(artifact.c_str());
     auto t0 = std::chrono::steady_clock::now();
     int rc = std::system(cmd.c_str());
     double wall = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - t0)
                       .count();
-    if (rc != 0) {
+    if (rc != 0)
         std::fprintf(stderr, "mtp-campaign: %s failed (%s)\n",
                      binary.c_str(), cmd.c_str());
-        return false;
-    }
 
     RawFigure fig;
     fig.name = binary;
@@ -180,10 +185,9 @@ runVolatile(const std::string &benchDir, const std::string &binary,
     if (!loadManifest(artifact, fig.raw, &error)) {
         std::fprintf(stderr, "mtp-campaign: cannot embed %s: %s\n",
                      artifact.c_str(), error.c_str());
-        return false;
+        return;
     }
     out.push_back(std::move(fig));
-    return true;
 }
 
 } // namespace
@@ -228,7 +232,8 @@ main(int argc, char **argv)
          }},
         {"--watchdog-sec", true,
          [&](const std::string &v) {
-             watchdogSec = parseSeconds("--watchdog-sec", v);
+             watchdogSec = parseReal("--watchdog-sec", v, 0.0,
+                                     std::numeric_limits<double>::max());
          }},
     };
     Options opts = parseArgs(

@@ -26,15 +26,16 @@
  *       table, from the JSONL written by --host-profile
  *   --jsonl <events.jsonl>   attach a sampled time-series summary
  *
- * Exit status: 0 on success, 1 on a detected regression (diff mode)
- * or gated figure drift (campaign diff --gate), other nonzero on
- * usage or input errors.
+ * Exit status: 0 on success, 1 on a detected regression (diff mode),
+ * gated figure drift (campaign diff --gate) or an input error such as
+ * a malformed number (a `fatal:` line names it), 2 on usage errors.
  */
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -47,6 +48,9 @@
 namespace {
 
 using namespace mtp;
+
+/** Upper bound of the real-valued flags: any finite number. */
+constexpr double kMax = std::numeric_limits<double>::max();
 
 /** One loaded stats file. */
 struct Run
@@ -724,9 +728,9 @@ main(int argc, char **argv)
             if (arg == "--gate") {
                 gate = true;
             } else if (arg == "--tol-rel") {
-                tol.relPct = std::stod(next("--tol-rel"));
+                tol.relPct = parseReal(arg, next("--tol-rel"), 0.0, kMax);
             } else if (arg == "--tol-abs") {
-                tol.abs = std::stod(next("--tol-abs"));
+                tol.abs = parseReal(arg, next("--tol-abs"), 0.0, kMax);
             } else if (arg == "--tol") {
                 std::string rule = next("--tol");
                 auto eq = rule.find_last_of('=');
@@ -735,7 +739,7 @@ main(int argc, char **argv)
                               rule, "'");
                 tol.rules.push_back(
                     {rule.substr(0, eq),
-                     std::stod(rule.substr(eq + 1))});
+                     parseReal(arg, rule.substr(eq + 1), 0.0, kMax)});
             } else if (arg == "--help" || arg == "-h") {
                 usage(argv[0]);
                 return 0;
@@ -768,7 +772,7 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--gate") {
-            gate = std::stod(next("--gate"));
+            gate = parseReal(arg, next("--gate"), -kMax, kMax);
         } else if (arg == "--jsonl") {
             jsonl = next("--jsonl");
         } else if (arg == "--help" || arg == "-h") {

@@ -12,9 +12,11 @@
  * dumps the complete hierarchical statistics as text or CSV.
  */
 
+#include <climits>
 #include <fstream>
 #include <future>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -58,6 +60,7 @@ usage(const char *argv0)
         "  --watchdog-sec <N>     dump flight-recorder state and abort\n"
         "                         diagnosis to stderr if the process\n"
         "                         makes no progress for N seconds\n"
+        "                         (0 = off, the default)\n"
         "  --dump-kernel <file>   write the (transformed) kernel and exit\n"
         "  --quiet                suppress the summary (stats only)\n"
         "  key=value              override any SimConfig field\n"
@@ -125,11 +128,10 @@ main(int argc, char **argv)
             throttle = true;
         } else if (arg == "--scale") {
             scale = static_cast<unsigned>(
-                std::stoul(next("--scale")));
+                parseUint(arg, next("--scale"), 1, UINT_MAX));
         } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(std::stoul(next("--jobs")));
-            if (jobs == 0)
-                MTP_FATAL("--jobs must be >= 1");
+            jobs = static_cast<unsigned>(
+                parseUint(arg, next("--jobs"), 1, driver::kMaxJobs));
         } else if (arg == "--stats") {
             stats_file = next("--stats");
         } else if (arg == "--csv") {
@@ -137,8 +139,8 @@ main(int argc, char **argv)
         } else if (arg == "--json") {
             json = true;
         } else if (arg == "--sample-period") {
-            ocfg.samplePeriod = static_cast<Cycle>(
-                std::stoull(next("--sample-period")));
+            ocfg.samplePeriod =
+                parseUint(arg, next("--sample-period"), 0, UINT64_MAX);
         } else if (arg == "--timeseries") {
             ocfg.timeSeriesCsv = next("--timeseries");
         } else if (arg == "--events") {
@@ -153,9 +155,8 @@ main(int argc, char **argv)
                 std::string(argv[i + 1]).find('=') == std::string::npos)
                 hostProfileOut = argv[++i];
         } else if (arg == "--watchdog-sec") {
-            watchdogSec = std::stod(next("--watchdog-sec"));
-            if (watchdogSec <= 0.0)
-                MTP_FATAL("--watchdog-sec must be > 0");
+            watchdogSec = parseReal(arg, next("--watchdog-sec"), 0.0,
+                                    std::numeric_limits<double>::max());
         } else if (arg == "--dump-kernel") {
             dump_kernel = next("--dump-kernel");
         } else if (arg == "--quiet") {
