@@ -80,20 +80,6 @@ kcyclesPerSec(Cycle cycles, double secs)
     return secs > 0.0 ? static_cast<double>(cycles) / secs / 1000.0 : 0.0;
 }
 
-/**
- * The campaign provenance header via the shared emitter
- * (bench/provenance.hh — a library both the instrumented and the
- * no-obs build of this binary can link, unlike the bench suite).
- */
-std::string
-provenanceJson(unsigned scaleDiv, Cycle throttlePeriod)
-{
-    std::string out;
-    bench::appendProvenance(
-        out, bench::collectProvenance(scaleDiv, throttlePeriod), 1);
-    return out;
-}
-
 } // namespace
 
 int
@@ -208,6 +194,7 @@ main(int argc, char **argv)
 
     double noobsSec = 0.0;
     double overheadPct = 0.0;
+    double allowedSec = 0.0;
     bool compared = false;
     bool pass = true;
     if (!compareWith.empty()) {
@@ -237,8 +224,8 @@ main(int argc, char **argv)
         overheadPct = 100.0 * (disabledSec / noobsSec - 1.0);
         // Small absolute slack: sub-second smoke runs see scheduler
         // noise bigger than any per-hook cost.
-        pass = disabledSec <=
-               noobsSec * (1.0 + thresholdPct / 100.0) + 0.05;
+        allowedSec = noobsSec * (1.0 + thresholdPct / 100.0) + 0.05;
+        pass = disabledSec <= allowedSec;
         if (!quiet) {
             std::printf("  no-obs build:   %8.3f s  "
                         "(%10.1f kcycles/s)\n",
@@ -250,31 +237,47 @@ main(int argc, char **argv)
         }
     }
 
-    std::ofstream os(out);
-    os << "{\n  \"bench\": \"obs_overhead\",\n  \"volatile\": true,\n"
-       << provenanceJson(scaleDiv, cfg.throttlePeriod) << ",\n"
-       << "  \"obsCompiledIn\": " << (MTP_OBS_ENABLED ? "true" : "false")
-       << ",\n  \"workload\": \"stream\",\n  \"scaleDiv\": " << scaleDiv
-       << ",\n  \"reps\": " << reps << ",\n  \"cycles\": " << warm.cycles
-       << ",\n  \"disabledSeconds\": " << disabledSec
-       << ",\n  \"disabledKcyclesPerSec\": "
-       << kcyclesPerSec(warm.cycles, disabledSec);
-    if (enabledSec > 0.0)
-        os << ",\n  \"enabledSeconds\": " << enabledSec
-           << ",\n  \"enabledKcyclesPerSec\": "
-           << kcyclesPerSec(warm.cycles, enabledSec)
-           << ",\n  \"enabledOverheadPct\": "
-           << 100.0 * (enabledSec / disabledSec - 1.0);
-    if (hostProfSec > 0.0)
-        os << ",\n  \"hostProfileSeconds\": " << hostProfSec
-           << ",\n  \"hostProfileOverheadPct\": "
-           << 100.0 * (hostProfSec / disabledSec - 1.0);
-    if (compared)
-        os << ",\n  \"noobsSeconds\": " << noobsSec
-           << ",\n  \"overheadPct\": " << overheadPct
-           << ",\n  \"thresholdPct\": " << thresholdPct
-           << ",\n  \"pass\": " << (pass ? "true" : "false");
-    os << "\n}\n";
+    std::string json = "{\n  \"bench\": \"obs_overhead\",\n"
+                       "  \"volatile\": true,\n";
+    bench::appendProvenance(
+        json, bench::collectProvenance(scaleDiv, cfg.throttlePeriod), 1);
+    json += ",\n  \"obsCompiledIn\": ";
+    json += MTP_OBS_ENABLED ? "true" : "false";
+    json += ",\n  \"workload\": \"stream\",\n  \"scaleDiv\": " +
+            std::to_string(scaleDiv) +
+            ",\n  \"reps\": " + std::to_string(reps) +
+            ",\n  \"cycles\": " + std::to_string(warm.cycles);
+    auto number = [&](const char *key, double v) {
+        json += ",\n  \"";
+        json += key;
+        json += "\": ";
+        appendJsonNumber(json, v);
+    };
+    number("disabledSeconds", disabledSec);
+    number("disabledKcyclesPerSec", kcyclesPerSec(warm.cycles, disabledSec));
+    if (enabledSec > 0.0) {
+        number("enabledSeconds", enabledSec);
+        number("enabledKcyclesPerSec",
+               kcyclesPerSec(warm.cycles, enabledSec));
+        number("enabledOverheadPct",
+               100.0 * (enabledSec / disabledSec - 1.0));
+    }
+    if (hostProfSec > 0.0) {
+        number("hostProfileSeconds", hostProfSec);
+        number("hostProfileOverheadPct",
+               100.0 * (hostProfSec / disabledSec - 1.0));
+    }
+    if (compared) {
+        number("noobsSeconds", noobsSec);
+        number("overheadPct", overheadPct);
+        number("thresholdPct", thresholdPct);
+        // The bound the guard applied: the threshold plus its slack.
+        number("allowedSeconds", allowedSec);
+        json += ",\n  \"pass\": ";
+        json += pass ? "true" : "false";
+    }
+    json += "\n}\n";
+    std::ofstream(out) << json;
     if (!quiet)
         std::printf("wrote %s\n", out.c_str());
 

@@ -240,28 +240,36 @@ void
 writeJson(const std::string &path, const bench::Options &opts,
           const std::vector<Measurement> &rows, double geomeanSpeedup)
 {
-    unsigned scaleDiv = opts.scaleDiv;
-    std::string header;
-    bench::appendProvenance(header, bench::collectProvenance(opts), 1);
-    std::ofstream os(path);
-    os << "{\n  \"bench\": \"simrate\",\n  \"volatile\": true,\n"
-       << header << ",\n  \"scaleDiv\": " << scaleDiv
-       << ",\n  \"workloads\": [\n";
+    std::string out = "{\n  \"bench\": \"simrate\",\n  \"volatile\": true,\n";
+    bench::appendProvenance(out, bench::collectProvenance(opts), 1);
+    out += ",\n  \"scaleDiv\": " + std::to_string(opts.scaleDiv) +
+           ",\n  \"workloads\": [\n";
+    auto number = [&](const char *key, double v) {
+        out += ", \"";
+        out += key;
+        out += "\": ";
+        appendJsonNumber(out, v);
+    };
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const Measurement &m = rows[i];
-        os << "    {\"name\": \"" << m.name << "\", \"cycles\": "
-           << m.cycles << ", \"warpInsts\": " << m.warpInsts
-           << ", \"naiveSeconds\": " << m.naiveSeconds
-           << ", \"fastSeconds\": " << m.fastSeconds
-           << ", \"naiveKcyclesPerSec\": "
-           << kcyclesPerSec(m.cycles, m.naiveSeconds)
-           << ", \"fastKcyclesPerSec\": "
-           << kcyclesPerSec(m.cycles, m.fastSeconds)
-           << ", \"speedup\": " << m.speedup << ", \"identical\": "
-           << (m.identical ? "true" : "false") << "}"
-           << (i + 1 < rows.size() ? "," : "") << "\n";
+        out += "    {\"name\": ";
+        appendJsonString(out, m.name);
+        out += ", \"cycles\": " + std::to_string(m.cycles) +
+               ", \"warpInsts\": " + std::to_string(m.warpInsts);
+        number("naiveSeconds", m.naiveSeconds);
+        number("fastSeconds", m.fastSeconds);
+        number("naiveKcyclesPerSec",
+               kcyclesPerSec(m.cycles, m.naiveSeconds));
+        number("fastKcyclesPerSec", kcyclesPerSec(m.cycles, m.fastSeconds));
+        number("speedup", m.speedup);
+        out += ", \"identical\": ";
+        out += m.identical ? "true}" : "false}";
+        out += i + 1 < rows.size() ? ",\n" : "\n";
     }
-    os << "  ],\n  \"geomeanSpeedup\": " << geomeanSpeedup << "\n}\n";
+    out += "  ],\n  \"geomeanSpeedup\": ";
+    appendJsonNumber(out, geomeanSpeedup);
+    out += "\n}\n";
+    std::ofstream(path) << out;
 }
 
 } // namespace

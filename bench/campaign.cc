@@ -1,11 +1,6 @@
 #include "bench/campaign.hh"
 
-#include <array>
-#include <charconv>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <unistd.h>
 
 #include "bench/harnesses.hh"
 #include "common/log.hh"
@@ -261,23 +256,6 @@ runCampaign(const Options &opts, const std::vector<std::string> &only,
 
 // --- JSON emission ------------------------------------------------------
 
-namespace {
-
-// Short local names for the shared emit helpers (bench/provenance.hh).
-void
-appendIndent(std::string &out, int indent)
-{
-    appendJsonIndent(out, indent);
-}
-
-void
-appendString(std::string &out, const std::string &s)
-{
-    appendJsonString(out, s);
-}
-
-} // namespace
-
 void
 writeJsonValue(std::string &out, const obs::JsonValue &v, int indent)
 {
@@ -293,7 +271,7 @@ writeJsonValue(std::string &out, const obs::JsonValue &v, int indent)
         appendJsonNumber(out, v.number);
         break;
     case Kind::String:
-        appendString(out, v.str);
+        appendJsonString(out, v.str);
         break;
     case Kind::Array: {
         if (v.array.empty()) {
@@ -302,13 +280,13 @@ writeJsonValue(std::string &out, const obs::JsonValue &v, int indent)
         }
         out += "[\n";
         for (std::size_t i = 0; i < v.array.size(); ++i) {
-            appendIndent(out, indent + 1);
+            appendJsonIndent(out, indent + 1);
             writeJsonValue(out, v.array[i], indent + 1);
             if (i + 1 < v.array.size())
                 out += ',';
             out += '\n';
         }
-        appendIndent(out, indent);
+        appendJsonIndent(out, indent);
         out += ']';
         break;
     }
@@ -320,15 +298,15 @@ writeJsonValue(std::string &out, const obs::JsonValue &v, int indent)
         out += "{\n";
         std::size_t i = 0;
         for (const auto &[key, value] : v.object) {
-            appendIndent(out, indent + 1);
-            appendString(out, key);
+            appendJsonIndent(out, indent + 1);
+            appendJsonString(out, key);
             out += ": ";
             writeJsonValue(out, value, indent + 1);
             if (++i < v.object.size())
                 out += ',';
             out += '\n';
         }
-        appendIndent(out, indent);
+        appendJsonIndent(out, indent);
         out += '}';
         break;
     }
@@ -338,39 +316,19 @@ writeJsonValue(std::string &out, const obs::JsonValue &v, int indent)
 namespace {
 
 void
-appendStringArray(std::string &out, const std::vector<std::string> &v,
-                  int indent)
-{
-    if (v.empty()) {
-        out += "[]";
-        return;
-    }
-    out += "[\n";
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        appendIndent(out, indent + 1);
-        appendString(out, v[i]);
-        if (i + 1 < v.size())
-            out += ',';
-        out += '\n';
-    }
-    appendIndent(out, indent);
-    out += ']';
-}
-
-void
 appendTableJson(std::string &out, const Table &t, int indent)
 {
-    appendIndent(out, indent);
+    appendJsonIndent(out, indent);
     out += "{\n";
-    appendIndent(out, indent + 1);
+    appendJsonIndent(out, indent + 1);
     out += "\"name\": ";
-    appendString(out, t.name);
+    appendJsonString(out, t.name);
     out += ",\n";
-    appendIndent(out, indent + 1);
+    appendJsonIndent(out, indent + 1);
     out += "\"columns\": ";
-    appendStringArray(out, t.columns, indent + 1);
+    appendJsonStringArray(out, t.columns, indent + 1);
     out += ",\n";
-    appendIndent(out, indent + 1);
+    appendJsonIndent(out, indent + 1);
     out += "\"rows\": [";
     if (t.rows.empty()) {
         out += "]\n";
@@ -378,28 +336,28 @@ appendTableJson(std::string &out, const Table &t, int indent)
         out += '\n';
         for (std::size_t r = 0; r < t.rows.size(); ++r) {
             const auto &row = t.rows[r];
-            appendIndent(out, indent + 2);
+            appendJsonIndent(out, indent + 2);
             out += '{';
             for (std::size_t c = 0;
                  c < row.size() && c < t.columns.size(); ++c) {
                 if (c)
                     out += ", ";
-                appendString(out, t.columns[c]);
+                appendJsonString(out, t.columns[c]);
                 out += ": ";
                 if (row[c].kind == Cell::Kind::Number)
                     appendJsonNumber(out, row[c].num);
                 else
-                    appendString(out, row[c].text);
+                    appendJsonString(out, row[c].text);
             }
             out += '}';
             if (r + 1 < t.rows.size())
                 out += ',';
             out += '\n';
         }
-        appendIndent(out, indent + 1);
+        appendJsonIndent(out, indent + 1);
         out += "]\n";
     }
-    appendIndent(out, indent);
+    appendJsonIndent(out, indent);
     out += '}';
 }
 
@@ -409,31 +367,31 @@ appendFigureJson(std::string &out, const CampaignSpec &spec,
                  const std::vector<std::string> &fingerprints,
                  int indent)
 {
-    appendIndent(out, indent);
+    appendJsonIndent(out, indent);
     out += "{\n";
-    appendIndent(out, indent + 1);
+    appendJsonIndent(out, indent + 1);
     out += "\"name\": ";
-    appendString(out, spec.name);
+    appendJsonString(out, spec.name);
     out += ",\n";
-    appendIndent(out, indent + 1);
+    appendJsonIndent(out, indent + 1);
     out += "\"title\": ";
-    appendString(out, spec.title);
+    appendJsonString(out, spec.title);
     out += ",\n";
-    appendIndent(out, indent + 1);
+    appendJsonIndent(out, indent + 1);
     out += "\"anchor\": ";
-    appendString(out, spec.anchor);
+    appendJsonString(out, spec.anchor);
     out += ",\n";
-    appendIndent(out, indent + 1);
+    appendJsonIndent(out, indent + 1);
     out += "\"volatile\": false,\n";
-    appendIndent(out, indent + 1);
+    appendJsonIndent(out, indent + 1);
     out += "\"runs\": ";
     out += std::to_string(fingerprints.size());
     out += ",\n";
-    appendIndent(out, indent + 1);
+    appendJsonIndent(out, indent + 1);
     out += "\"fingerprints\": ";
-    appendStringArray(out, fingerprints, indent + 1);
+    appendJsonStringArray(out, fingerprints, indent + 1);
     out += ",\n";
-    appendIndent(out, indent + 1);
+    appendJsonIndent(out, indent + 1);
     out += "\"tables\": [";
     if (r.tables.empty()) {
         out += "],\n";
@@ -445,32 +403,32 @@ appendFigureJson(std::string &out, const CampaignSpec &spec,
                 out += ',';
             out += '\n';
         }
-        appendIndent(out, indent + 1);
+        appendJsonIndent(out, indent + 1);
         out += "],\n";
     }
-    appendIndent(out, indent + 1);
+    appendJsonIndent(out, indent + 1);
     out += "\"summary\": {";
     if (r.summary.empty()) {
         out += "},\n";
     } else {
         out += '\n';
         for (std::size_t i = 0; i < r.summary.size(); ++i) {
-            appendIndent(out, indent + 2);
-            appendString(out, r.summary[i].first);
+            appendJsonIndent(out, indent + 2);
+            appendJsonString(out, r.summary[i].first);
             out += ": ";
             appendJsonNumber(out, r.summary[i].second);
             if (i + 1 < r.summary.size())
                 out += ',';
             out += '\n';
         }
-        appendIndent(out, indent + 1);
+        appendJsonIndent(out, indent + 1);
         out += "},\n";
     }
-    appendIndent(out, indent + 1);
+    appendJsonIndent(out, indent + 1);
     out += "\"notes\": ";
-    appendStringArray(out, r.notes, indent + 1);
+    appendJsonStringArray(out, r.notes, indent + 1);
     out += '\n';
-    appendIndent(out, indent);
+    appendJsonIndent(out, indent);
     out += '}';
 }
 
@@ -482,39 +440,39 @@ writeManifest(std::ostream &os, const CampaignResult &res,
 {
     std::string out;
     out += "{\n";
-    appendIndent(out, 1);
+    appendJsonIndent(out, 1);
     out += "\"schema\": \"mtp-campaign-v1\",\n";
     appendProvenance(out, res.provenance, 1);
     out += ",\n";
     if (includeSession) {
-        appendIndent(out, 1);
+        appendJsonIndent(out, 1);
         out += "\"session\": {\n";
-        appendIndent(out, 2);
+        appendJsonIndent(out, 2);
         out += "\"jobs\": " + std::to_string(res.jobs) + ",\n";
-        appendIndent(out, 2);
+        appendJsonIndent(out, 2);
         out += "\"wallSeconds\": ";
         appendJsonNumber(out, res.wallSeconds);
         out += ",\n";
-        appendIndent(out, 2);
+        appendJsonIndent(out, 2);
         out +=
             "\"runsExecuted\": " + std::to_string(res.runsExecuted) +
             ",\n";
-        appendIndent(out, 2);
+        appendJsonIndent(out, 2);
         out += "\"cacheHits\": " + std::to_string(res.cacheHits) +
                ",\n";
-        appendIndent(out, 2);
+        appendJsonIndent(out, 2);
         out += "\"cacheMisses\": " + std::to_string(res.cacheMisses) +
                ",\n";
-        appendIndent(out, 2);
+        appendJsonIndent(out, 2);
         out += "\"steals\": " + std::to_string(res.steals) + ",\n";
-        appendIndent(out, 2);
+        appendJsonIndent(out, 2);
         out += "\"executorThreads\": " +
                std::to_string(res.executorThreads) + ",\n";
-        appendIndent(out, 2);
+        appendJsonIndent(out, 2);
         out += "\"runsPerSec\": ";
         appendJsonNumber(out, res.runsPerSec);
         out += ",\n";
-        appendIndent(out, 2);
+        appendJsonIndent(out, 2);
         out += "\"figureWallSeconds\": {";
         std::size_t entries =
             res.figures.size() + res.rawFigures.size();
@@ -524,8 +482,8 @@ writeManifest(std::ostream &os, const CampaignResult &res,
             out += '\n';
             std::size_t i = 0;
             auto one = [&](const std::string &name, double secs) {
-                appendIndent(out, 3);
-                appendString(out, name);
+                appendJsonIndent(out, 3);
+                appendJsonString(out, name);
                 out += ": ";
                 appendJsonNumber(out, secs);
                 if (++i < entries)
@@ -536,13 +494,13 @@ writeManifest(std::ostream &os, const CampaignResult &res,
                 one(f.spec->name, f.wallSeconds);
             for (const auto &f : res.rawFigures)
                 one(f.name, f.wallSeconds);
-            appendIndent(out, 2);
+            appendJsonIndent(out, 2);
             out += "}\n";
         }
-        appendIndent(out, 1);
+        appendJsonIndent(out, 1);
         out += "},\n";
     }
-    appendIndent(out, 1);
+    appendJsonIndent(out, 1);
     out += "\"figures\": [";
     std::size_t total = res.figures.size() + res.rawFigures.size();
     if (total == 0) {
@@ -557,33 +515,33 @@ writeManifest(std::ostream &os, const CampaignResult &res,
             out += '\n';
         }
         for (const auto &f : res.rawFigures) {
-            appendIndent(out, 2);
+            appendJsonIndent(out, 2);
             out += "{\n";
-            appendIndent(out, 3);
+            appendJsonIndent(out, 3);
             out += "\"name\": ";
-            appendString(out, f.name);
+            appendJsonString(out, f.name);
             out += ",\n";
-            appendIndent(out, 3);
+            appendJsonIndent(out, 3);
             out += "\"title\": ";
-            appendString(out, f.title);
+            appendJsonString(out, f.title);
             out += ",\n";
-            appendIndent(out, 3);
+            appendJsonIndent(out, 3);
             out += "\"anchor\": ";
-            appendString(out, f.anchor);
+            appendJsonString(out, f.anchor);
             out += ",\n";
-            appendIndent(out, 3);
+            appendJsonIndent(out, 3);
             out += "\"volatile\": true,\n";
-            appendIndent(out, 3);
+            appendJsonIndent(out, 3);
             out += "\"raw\": ";
             writeJsonValue(out, f.raw, 3);
             out += '\n';
-            appendIndent(out, 2);
+            appendJsonIndent(out, 2);
             out += '}';
             if (++i < total)
                 out += ',';
             out += '\n';
         }
-        appendIndent(out, 1);
+        appendJsonIndent(out, 1);
         out += "]\n";
     }
     out += "}\n";
@@ -610,11 +568,11 @@ standaloneMain(const char *specName, int argc, char **argv)
     if (!opts.jsonOut.empty()) {
         std::string out;
         out += "{\n";
-        appendIndent(out, 1);
+        appendJsonIndent(out, 1);
         out += "\"schema\": \"mtp-figure-v1\",\n";
         appendProvenance(out, collectProvenance(opts), 1);
         out += ",\n";
-        appendIndent(out, 1);
+        appendJsonIndent(out, 1);
         out += "\"figure\":\n";
         appendFigureJson(out, *spec, result, runner.fingerprints(), 1);
         out += "\n}\n";

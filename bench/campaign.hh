@@ -11,9 +11,9 @@
  *
  * Determinism contract: the manifest body (provenance + figures) is a
  * pure function of the configuration — figure tables come from
- * bit-identical simulations and all JSON numbers are written with
- * locale-independent std::to_chars — so it is byte-identical across
- * --jobs.
+ * bit-identical simulations and all JSON numbers are written by the
+ * locale-independent common/format.hh writer — so it is
+ * byte-identical across --jobs.
  * Wall-clock and cache statistics, which legitimately vary, live in a
  * separate "session" block that the diff gate ignores and that
  * --no-session omits entirely.
@@ -255,8 +255,7 @@ runCampaign(const Options &opts, const std::vector<std::string> &only,
 void writeManifest(std::ostream &os, const CampaignResult &res,
                    bool includeSession);
 
-/** Re-serialize a parsed JSON value with the campaign formatting.
- *  (appendJsonNumber / appendProvenance live in bench/provenance.hh.) */
+/** Re-serialize a parsed JSON value with the campaign formatting. */
 void writeJsonValue(std::string &out, const obs::JsonValue &v,
                     int indent);
 

@@ -1,14 +1,14 @@
 /**
  * @file
  * The reproducibility header shared by every campaign-path JSON
- * artifact, plus the low-level JSON append helpers it is built from.
+ * artifact.
  *
  * Split out of bench/campaign.cc so the self-timing binaries that
  * cannot link the bench suite — bench_obs_overhead is compiled twice,
  * once against the no-obs simulator stack, and the two stacks define
  * the same symbols — still emit the exact same provenance block. The
- * library therefore depends only on mtp_common and mtp_obs, which both
- * stacks already link.
+ * library therefore depends only on mtp_common, which both stacks
+ * already link; its JSON helpers are common/format.hh's.
  */
 
 #ifndef MTP_BENCH_PROVENANCE_HH
@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/format.hh"
 #include "common/types.hh"
 
 namespace mtp {
@@ -43,14 +44,10 @@ Provenance collectProvenance(unsigned scaleDiv, Cycle throttlePeriod,
                              std::vector<std::string> overrides = {},
                              std::vector<std::string> benchFilter = {});
 
-/** Append @p indent levels of 2-space indentation. */
-void appendJsonIndent(std::string &out, int indent);
-
-/** Append a quoted, escaped JSON string literal. */
-void appendJsonString(std::string &out, const std::string &s);
-
-/** Append one JSON number, locale-independent (std::to_chars). */
-void appendJsonNumber(std::string &out, double v);
+// The shared JSON writers, also under their bench:: names.
+using mtp::appendJsonIndent;
+using mtp::appendJsonNumber;
+using mtp::appendJsonString;
 
 /** Append the `"provenance": {...}` member (no trailing comma). */
 void appendProvenance(std::string &out, const Provenance &p,

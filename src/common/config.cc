@@ -6,6 +6,7 @@
 #include <ostream>
 
 #include "common/bitutils.hh"
+#include "common/format.hh"
 #include "common/log.hh"
 #include "common/parse.hh"
 
@@ -272,9 +273,10 @@ SimConfig::dump(std::ostream &os) const
        << "throttleEnable = " << throttleEnable << '\n'
        << "throttlePeriod = " << throttlePeriod << '\n'
        << "throttleInitDegree = " << throttleInitDegree << '\n'
-       << "earlyEvictHigh = " << earlyEvictHigh << '\n'
-       << "earlyEvictLow = " << earlyEvictLow << '\n'
-       << "mergeHigh = " << mergeHigh << '\n'
+       // The dump is the run-cache key: reals keep every digit.
+       << "earlyEvictHigh = " << formatNumber(earlyEvictHigh) << '\n'
+       << "earlyEvictLow = " << formatNumber(earlyEvictLow) << '\n'
+       << "mergeHigh = " << formatNumber(mergeHigh) << '\n'
        << "ghbFeedback = " << ghbFeedback << '\n'
        << "stridePcLateThrottle = " << stridePcLateThrottle << '\n'
        << "schedGreedy = " << schedGreedy << '\n'

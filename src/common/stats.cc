@@ -1,12 +1,9 @@
 #include "common/stats.hh"
 
 #include <algorithm>
-#include <array>
-#include <charconv>
-#include <cmath>
-#include <iomanip>
 #include <ostream>
 
+#include "common/format.hh"
 #include "common/log.hh"
 
 namespace mtp {
@@ -77,12 +74,17 @@ StatSet::dumpText(std::ostream &os) const
     std::size_t width = 0;
     for (const auto &e : entries_)
         width = std::max(width, e.name.size());
+    std::string line;
     for (const auto &e : entries_) {
-        os << std::left << std::setw(static_cast<int>(width) + 2) << e.name
-           << std::setprecision(12) << e.value;
-        if (!e.desc.empty())
-            os << "  # " << e.desc;
-        os << '\n';
+        line = e.name;
+        line.resize(width + 2, ' ');
+        appendNumber(line, e.value);
+        if (!e.desc.empty()) {
+            line += "  # ";
+            line += e.desc;
+        }
+        line += '\n';
+        os << line;
     }
 }
 
@@ -90,72 +92,19 @@ namespace {
 
 /** RFC 4180 field quoting: only when the field needs it. */
 void
-writeCsvField(std::ostream &os, const std::string &field)
+appendCsvField(std::string &out, const std::string &field)
 {
     if (field.find_first_of(",\"\n\r") == std::string::npos) {
-        os << field;
+        out += field;
         return;
     }
-    os << '"';
+    out += '"';
     for (char c : field) {
         if (c == '"')
-            os << '"';
-        os << c;
+            out += '"';
+        out += c;
     }
-    os << '"';
-}
-
-/** Minimal JSON string escaping for stat names/descriptions. */
-void
-writeJsonString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            os << "\\\"";
-            break;
-          case '\\':
-            os << "\\\\";
-            break;
-          case '\n':
-            os << "\\n";
-            break;
-          case '\r':
-            os << "\\r";
-            break;
-          case '\t':
-            os << "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                const char *hex = "0123456789abcdef";
-                os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-            } else {
-                os << c;
-            }
-            break;
-        }
-    }
-    os << '"';
-}
-
-/**
- * Shortest round-trippable decimal form of @p v, independent of any
- * imbued stream locale (std::to_chars never localizes). Non-finite
- * values have no JSON representation and become null.
- */
-void
-writeJsonNumber(std::ostream &os, double v)
-{
-    if (!std::isfinite(v)) {
-        os << "null";
-        return;
-    }
-    std::array<char, 64> buf;
-    auto res = std::to_chars(buf.data(), buf.data() + buf.size(), v);
-    MTP_ASSERT(res.ec == std::errc{}, "double-to_chars overflow");
-    os.write(buf.data(), res.ptr - buf.data());
+    out += '"';
 }
 
 } // namespace
@@ -163,33 +112,37 @@ writeJsonNumber(std::ostream &os, double v)
 void
 StatSet::dumpCsv(std::ostream &os) const
 {
-    os << "name,value,description\n";
+    std::string out = "name,value,description\n";
     for (const auto &e : entries_) {
-        writeCsvField(os, e.name);
-        os << ',' << std::setprecision(12) << e.value << ',';
-        writeCsvField(os, e.desc);
-        os << '\n';
+        appendCsvField(out, e.name);
+        out += ',';
+        appendNumber(out, e.value);
+        out += ',';
+        appendCsvField(out, e.desc);
+        out += '\n';
     }
+    os << out;
 }
 
 void
 StatSet::dumpJson(std::ostream &os) const
 {
-    os << "{\n";
+    std::string out = "{\n";
     bool first = true;
     for (const auto &e : entries_) {
         if (!first)
-            os << ",\n";
+            out += ",\n";
         first = false;
-        os << "  ";
-        writeJsonString(os, e.name);
-        os << ": {\"value\": ";
-        writeJsonNumber(os, e.value);
-        os << ", \"desc\": ";
-        writeJsonString(os, e.desc);
-        os << '}';
+        out += "  ";
+        appendJsonString(out, e.name);
+        out += ": {\"value\": ";
+        appendJsonNumber(out, e.value);
+        out += ", \"desc\": ";
+        appendJsonString(out, e.desc);
+        out += '}';
     }
-    os << "\n}\n";
+    out += "\n}\n";
+    os << out;
 }
 
 Histogram::Histogram(double lo, double hi, unsigned nbuckets)

@@ -19,6 +19,7 @@
 #define MTP_MTPREFETCH_HH
 
 #include "common/config.hh"
+#include "common/format.hh"
 #include "common/log.hh"
 #include "common/parse.hh"
 #include "common/stats.hh"

@@ -9,8 +9,8 @@
 #include <mutex>
 #include <thread>
 
+#include "common/format.hh"
 #include "obs/host_profiler.hh"
-#include "obs/json.hh"
 
 namespace mtp {
 namespace obs {

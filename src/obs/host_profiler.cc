@@ -6,7 +6,7 @@
 #include <cstring>
 #include <mutex>
 
-#include "obs/json.hh"
+#include "common/format.hh"
 
 namespace mtp {
 namespace obs {
@@ -384,11 +384,14 @@ writeHostProfileJsonl(
         }
         std::fprintf(f, "}}\n");
     }
-    for (const auto &c : counters)
-        std::fprintf(f,
-                     "{\"type\":\"host.counter\",\"name\":\"%s\","
-                     "\"value\":%.17g}\n",
-                     jsonEscape(c.first).c_str(), c.second);
+    for (const auto &c : counters) {
+        std::string line = "{\"type\":\"host.counter\",\"name\":";
+        appendJsonString(line, c.first);
+        line += ",\"value\":";
+        appendJsonNumber(line, c.second);
+        line += "}\n";
+        std::fputs(line.c_str(), f);
+    }
 }
 
 } // namespace obs

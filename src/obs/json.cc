@@ -1,48 +1,10 @@
 #include "obs/json.hh"
 
 #include <cctype>
-#include <cstdio>
-#include <cstdlib>
+#include <charconv>
 
 namespace mtp {
 namespace obs {
-
-std::string
-jsonEscape(std::string_view s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c) & 0xff);
-                out += buf;
-            } else {
-                out += c;
-            }
-            break;
-        }
-    }
-    return out;
-}
 
 const JsonValue *
 JsonValue::find(const std::string &key) const
@@ -196,10 +158,10 @@ class Parser
             ++pos_;
         if (pos_ == start)
             return fail("expected number");
-        std::string token(text_.substr(start, pos_ - start));
-        char *end = nullptr;
-        out = std::strtod(token.c_str(), &end);
-        if (end != token.c_str() + token.size())
+        // std::from_chars, unlike strtod, ignores the C locale.
+        const char *end = text_.data() + pos_;
+        auto [ptr, ec] = std::from_chars(text_.data() + start, end, out);
+        if (ec != std::errc() || ptr != end)
             return fail("malformed number");
         return true;
     }

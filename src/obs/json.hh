@@ -1,9 +1,10 @@
 /**
  * @file
- * Minimal JSON support for the observability layer: string escaping for
- * the writers and a small recursive-descent parser used to validate
- * generated Chrome trace-event files in tests and tooling (no external
- * JSON dependency is available in the build image).
+ * Minimal JSON reader for the observability layer: a small
+ * recursive-descent parser used to validate generated Chrome
+ * trace-event files and to read artifacts back in tests and tooling
+ * (no external JSON dependency is available in the build image). The
+ * writer side lives in common/format.hh.
  */
 
 #ifndef MTP_OBS_JSON_HH
@@ -17,9 +18,6 @@
 
 namespace mtp {
 namespace obs {
-
-/** Escape @p s for embedding between JSON double quotes. */
-std::string jsonEscape(std::string_view s);
 
 /** Parsed JSON value (tree-owning; good enough for validation). */
 struct JsonValue

@@ -1,36 +1,14 @@
 #include "obs/sink.hh"
 
-#include <cinttypes>
 #include <cstring>
 
+#include "common/format.hh"
 #include "common/log.hh"
-#include "obs/json.hh"
 
 namespace mtp {
 namespace obs {
 
 namespace {
-
-/** Shortest round-trippable representation of a double for JSON/CSV. */
-std::string
-formatDouble(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    double parsed = 0.0;
-    std::sscanf(buf, "%lf", &parsed);
-    if (parsed == v) {
-        // Try shorter forms; the first that round-trips wins.
-        for (int prec = 1; prec <= 16; ++prec) {
-            char s[40];
-            std::snprintf(s, sizeof(s), "%.*g", prec, v);
-            std::sscanf(s, "%lf", &parsed);
-            if (parsed == v)
-                return s;
-        }
-    }
-    return buf;
-}
 
 std::FILE *
 openOrDie(const std::string &path)
@@ -45,9 +23,9 @@ openOrDie(const std::string &path)
 void
 appendEventBody(std::string &out, const TraceEvent &ev)
 {
-    out += "\"name\":\"";
-    out += jsonEscape(ev.name);
-    out += "\",\"ph\":\"";
+    out += "\"name\":";
+    appendJsonString(out, ev.name);
+    out += ",\"ph\":\"";
     out += ev.ph;
     out += "\",\"pid\":";
     out += std::to_string(ev.pid);
@@ -68,20 +46,17 @@ appendEventBody(std::string &out, const TraceEvent &ev)
             if (!first)
                 out += ',';
             first = false;
-            out += '"';
-            out += jsonEscape(key);
-            out += "\":";
-            out += formatDouble(value);
+            appendJsonString(out, key);
+            out += ':';
+            appendJsonNumber(out, value);
         }
         for (const auto &[key, value] : ev.sargs) {
             if (!first)
                 out += ',';
             first = false;
-            out += '"';
-            out += jsonEscape(key);
-            out += "\":\"";
-            out += jsonEscape(value);
-            out += '"';
+            appendJsonString(out, key);
+            out += ':';
+            appendJsonString(out, value);
         }
         out += '}';
     }
@@ -119,7 +94,7 @@ CsvTimeSeriesSink::sample(Cycle cycle, const std::vector<double> &values)
     std::string row = std::to_string(cycle);
     for (double v : values) {
         row += ',';
-        row += formatDouble(v);
+        appendNumber(row, v);
     }
     row += '\n';
     std::fwrite(row.data(), 1, row.size(), file_);
@@ -136,14 +111,7 @@ CsvTimeSeriesSink::close()
 
 // --- JsonlSink -----------------------------------------------------------
 
-JsonlSink::JsonlSink(const std::string &path)
-    : file_(openOrDie(path)), owned_(true)
-{
-}
-
-JsonlSink::JsonlSink(std::FILE *borrowed) : file_(borrowed), owned_(false)
-{
-}
+JsonlSink::JsonlSink(const std::string &path) : file_(openOrDie(path)) {}
 
 JsonlSink::~JsonlSink()
 {
@@ -153,8 +121,6 @@ JsonlSink::~JsonlSink()
 void
 JsonlSink::writeLine(const std::string &line)
 {
-    // One fwrite per record: POSIX stream writes are locked, so whole
-    // lines never interleave even when runs share the stream.
     std::fwrite(line.data(), 1, line.size(), file_);
 }
 
@@ -176,9 +142,7 @@ JsonlSink::sampleSchema(const std::vector<SampleColumn> &columns)
         columns_.push_back(columns[i].name);
         if (i)
             line += ',';
-        line += '"';
-        line += jsonEscape(columns[i].name);
-        line += '"';
+        appendJsonString(line, columns[i].name);
     }
     line += "]}\n";
     writeLine(line);
@@ -193,11 +157,11 @@ JsonlSink::sample(Cycle cycle, const std::vector<double> &values)
     for (std::size_t i = 0; i < values.size(); ++i) {
         if (i)
             line += ',';
-        line += '"';
-        line += i < columns_.size() ? jsonEscape(columns_[i])
-                                    : "col" + std::to_string(i);
-        line += "\":";
-        line += formatDouble(values[i]);
+        appendJsonString(line, i < columns_.size()
+                                   ? columns_[i]
+                                   : "col" + std::to_string(i));
+        line += ':';
+        appendJsonNumber(line, values[i]);
     }
     line += "}}\n";
     writeLine(line);
@@ -206,16 +170,16 @@ JsonlSink::sample(Cycle cycle, const std::vector<double> &values)
 void
 JsonlSink::histogram(const std::string &name, const Histogram &h)
 {
-    std::string line = "{\"t\":\"hist\",\"name\":\"";
-    line += jsonEscape(name);
-    line += "\",\"count\":";
+    std::string line = "{\"t\":\"hist\",\"name\":";
+    appendJsonString(line, name);
+    line += ",\"count\":";
     line += std::to_string(h.count());
     line += ",\"mean\":";
-    line += formatDouble(h.mean());
+    appendJsonNumber(line, h.mean());
     line += ",\"min\":";
-    line += formatDouble(h.minValue());
+    appendJsonNumber(line, h.minValue());
     line += ",\"max\":";
-    line += formatDouble(h.maxValue());
+    appendJsonNumber(line, h.maxValue());
     line += ",\"underflow\":";
     line += std::to_string(h.underflow());
     line += ",\"overflow\":";
@@ -233,13 +197,10 @@ JsonlSink::histogram(const std::string &name, const Histogram &h)
 void
 JsonlSink::close()
 {
-    if (!file_)
-        return;
-    if (owned_)
+    if (file_) {
         std::fclose(file_);
-    else
-        std::fflush(file_);
-    file_ = nullptr;
+        file_ = nullptr;
+    }
 }
 
 // --- ChromeTraceSink -----------------------------------------------------

@@ -128,20 +128,14 @@ class CsvTimeSeriesSink : public EventSink
 };
 
 /**
- * Every record as one JSON object per line. Each line is written with
- * a single fwrite(), so concurrent runs sharing the stream (e.g. the
- * stderr throttle-trace alias under the parallel driver) never
- * interleave partial lines.
+ * Every record as one JSON object per line. A non-finite sample value
+ * is written as null.
  */
 class JsonlSink : public EventSink
 {
   public:
     /** Open @p path for writing. */
     explicit JsonlSink(const std::string &path);
-
-    /** Write to a borrowed stream (not closed), e.g. stderr. */
-    explicit JsonlSink(std::FILE *borrowed);
-
     ~JsonlSink() override;
 
     void event(const TraceEvent &ev) override;
@@ -154,7 +148,6 @@ class JsonlSink : public EventSink
     void writeLine(const std::string &line);
 
     std::FILE *file_ = nullptr;
-    bool owned_ = false;
     std::vector<std::string> columns_;
 };
 

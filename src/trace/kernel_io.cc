@@ -6,6 +6,7 @@
 #include <limits>
 #include <sstream>
 
+#include "common/format.hh"
 #include "common/log.hh"
 #include "common/parse.hh"
 
@@ -20,8 +21,8 @@ writePattern(std::ostream &os, const AddressPattern &p)
     os << " 0x" << std::hex << p.base << std::dec << ' '
        << p.threadStride << ' ' << p.iterStride << ' ' << p.elemBytes;
     if (p.scatterFrac > 0.0)
-        os << ' ' << p.scatterFrac << ' ' << p.scatterSpan << ' '
-           << p.scatterSalt;
+        os << ' ' << formatNumber(p.scatterFrac) << ' ' << p.scatterSpan
+           << ' ' << p.scatterSalt;
 }
 
 /** Parse a value slot: -1 (none) or a register slot index. */

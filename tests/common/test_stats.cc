@@ -83,6 +83,24 @@ TEST(StatSet, DumpFormats)
     EXPECT_NE(csv.str().find("name,1.5"), std::string::npos);
 }
 
+/**
+ * dumpText writes the shortest round-trip text, not 12 significant
+ * digits: values that differ only in the 13th digit must dump
+ * differently, or a text-identity check could not tell them apart.
+ */
+TEST(StatSet, DumpTextKeepsEveryDigit)
+{
+    auto dump = [](double v) {
+        StatSet s;
+        s.add("sim.ratio", v, "desc");
+        std::ostringstream os;
+        s.dumpText(os);
+        return os.str();
+    };
+    EXPECT_NE(dump(1.0000000000001), dump(1.0000000000002));
+    EXPECT_EQ(dump(1.0000000000001), "sim.ratio  1.0000000000001  # desc\n");
+}
+
 TEST(StatSet, DumpCsvEscapesSpecialCharacters)
 {
     StatSet s;
@@ -166,6 +184,18 @@ TEST(StatSet, DumpJsonIsLocaleIndependent)
     ASSERT_TRUE(obs::parseJson(os.str(), v, &err)) << err << "\n"
                                                    << os.str();
     EXPECT_DOUBLE_EQ(v.find("frac")->find("value")->number, 1234567.25);
+}
+
+/** A comma-decimal stream locale must not leak into the CSV values. */
+TEST(StatSet, DumpCsvIsLocaleIndependent)
+{
+    StatSet s;
+    s.add("half", 1.5, "one and a half");
+    std::ostringstream os;
+    os.imbue(std::locale(std::locale::classic(), new CommaDecimal));
+    s.dumpCsv(os);
+    EXPECT_NE(os.str().find("half,1.5,one and a half\n"), std::string::npos)
+        << os.str();
 }
 
 /**

@@ -52,6 +52,16 @@ TEST(Fingerprint, ConfigChangesChangeTheKey)
     EXPECT_TRUE(fingerprint(a, k) == fingerprint(a, k));
 }
 
+TEST(Fingerprint, RealKnobsKeepEveryDigit)
+{
+    KernelDesc k = test::tinyMpKernel();
+    SimConfig a = test::tinyConfig();
+    SimConfig b = a;
+    a.earlyEvictHigh = 1.5000001;
+    b.earlyEvictHigh = 1.5000004; // equal in 6 significant digits
+    EXPECT_FALSE(fingerprint(a, k) == fingerprint(b, k));
+}
+
 /**
  * Regression test for the old bench cache key, which was
  * name|numBlocks|warpsPerBlock|warpInstsPerWarp. Two kernels that

@@ -248,6 +248,25 @@ TEST(HostProfiler, JsonlArtifactParsesWithReportSchema)
     HostProfiler::disable();
 }
 
+TEST(HostProfiler, JsonlCounterIsShortestRoundTrip)
+{
+    HostProfiler::Snapshot snap;
+    const std::string path = "host_profiler_counter.host.jsonl";
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    obs::writeHostProfileJsonl(f, snap, {{"host.ratio", 0.1}});
+    std::fclose(f);
+
+    std::ifstream in(path);
+    std::string line, counter;
+    while (std::getline(in, line))
+        if (line.find("host.counter") != std::string::npos)
+            counter = line;
+    EXPECT_EQ(counter, "{\"type\":\"host.counter\",\"name\":"
+                       "\"host.ratio\",\"value\":0.1}");
+    std::remove(path.c_str());
+}
+
 TEST(HostProfiler, MergedChromeTraceValidatesWithHostTracks)
 {
     HostProfiler::disable();

@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -67,6 +68,43 @@ TEST(CsvTimeSeriesSink, HeaderAndRows)
     EXPECT_EQ(rows[1], "100,0.5,3");
     EXPECT_EQ(rows[2], "200,0.25,0");
     std::remove(path.c_str());
+}
+
+/**
+ * Sample values are the shortest round-trip text (20, not 2e+01) in
+ * both sinks, and a non-finite value is JSON null in the JSONL stream.
+ */
+TEST(JsonlSink, SampleNumbersAreShortestAndNullWhenNonFinite)
+{
+    std::string csvPath = scratchPath("spell.csv");
+    std::string jsonlPath = scratchPath("spell.jsonl");
+    {
+        CsvTimeSeriesSink csv(csvPath);
+        JsonlSink jsonl(jsonlPath);
+        for (EventSink *sink : {static_cast<EventSink *>(&csv),
+                                static_cast<EventSink *>(&jsonl)}) {
+            sink->sampleSchema({{"a", 0}, {"b", 0}});
+            sink->sample(100, {20.0, 0.1});
+            sink->sample(200, {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity()});
+            sink->close();
+        }
+    }
+    auto csvRows = lines(slurp(csvPath));
+    ASSERT_EQ(csvRows.size(), 3u);
+    EXPECT_EQ(csvRows[1], "100,20,0.1");
+    auto jsonlRows = lines(slurp(jsonlPath));
+    ASSERT_EQ(jsonlRows.size(), 3u);
+    EXPECT_EQ(jsonlRows[1],
+              "{\"t\":\"sample\",\"cycle\":100,\"v\":{\"a\":20,\"b\":0.1}}");
+    EXPECT_EQ(jsonlRows[2],
+              "{\"t\":\"sample\",\"cycle\":200,"
+              "\"v\":{\"a\":null,\"b\":null}}");
+    JsonValue v;
+    std::string err;
+    EXPECT_TRUE(parseJson(jsonlRows[2], v, &err)) << err;
+    std::remove(csvPath.c_str());
+    std::remove(jsonlPath.c_str());
 }
 
 TEST(JsonlSink, EveryLineIsOneJsonObject)

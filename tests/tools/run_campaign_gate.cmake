@@ -48,5 +48,6 @@ run_step(0 ${MTP_CAMPAIGN} --smoke --quiet --skip-volatile
     --only tab03_characteristics --out ${PARTIAL})
 run_step(0 ${MTP_REPORT} campaign diff ${GOLDEN} ${PARTIAL})
 
-# 5. ... and with --gate an incomplete campaign must trip it.
-run_step(1 ${MTP_REPORT} campaign diff ${GOLDEN} ${PARTIAL} --gate)
+# 5. ... and with --gate an incomplete campaign must trip it (exit 3,
+#    distinct from an input error's 1).
+run_step(3 ${MTP_REPORT} campaign diff ${GOLDEN} ${PARTIAL} --gate)

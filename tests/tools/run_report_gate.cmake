@@ -6,8 +6,9 @@
 # Exercises the full artifact pipeline end to end: re-simulates the
 # golden workload, checks the report modes run clean on real inputs,
 # gates the fresh run against the checked-in golden snapshot, and
-# verifies a known-regressed snapshot actually trips the gate. Last,
-# malformed numeric flags must exit 1 with a message naming the flag.
+# verifies a known-regressed snapshot actually trips the gate (exit 3,
+# distinct from an input error's 1). Last, malformed numeric flags
+# must exit 1 with a message naming the flag.
 
 foreach(var MTP_SIM MTP_REPORT BENCH_OBS_OVERHEAD DATA_DIR WORK_DIR)
     if(NOT DEFINED ${var})
@@ -38,9 +39,13 @@ endfunction()
 
 # 1. Regenerate the golden workload with the current simulator. The
 #    simulator is deterministic, so any drift shows up in the gate.
+#    All three sink formats are written, so every build type runs
+#    the shared number writer end to end.
 run_step(0 ${MTP_SIM} --bench stream --scale 64 --quiet
     --stats ${WORK_DIR}/report_gate_fresh.json --json
     --sample-period 4096 --events ${WORK_DIR}/report_gate_fresh.jsonl
+    --timeseries ${WORK_DIR}/report_gate_fresh.csv
+    --trace-out ${WORK_DIR}/report_gate_fresh.trace.json
     numCores=2 dramChannels=2)
 
 # 2. Report modes must run clean on real artifacts.
@@ -53,7 +58,7 @@ run_step(0 ${MTP_REPORT} diff ${GOLDEN}
     ${WORK_DIR}/report_gate_fresh.json --gate 5)
 
 # 4. A known regression (3x memory latency) must trip the gate ...
-run_step(1 ${MTP_REPORT} diff ${GOLDEN} ${REGRESSED} --gate 5)
+run_step(3 ${MTP_REPORT} diff ${GOLDEN} ${REGRESSED} --gate 5)
 
 # 5. ... and pass when the gate is wide enough to absorb it.
 run_step(0 ${MTP_REPORT} diff ${GOLDEN} ${REGRESSED} --gate 50)

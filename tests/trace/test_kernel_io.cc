@@ -38,8 +38,7 @@ expectSameKernel(const KernelDesc &a, const KernelDesc &b)
                           ib.pattern.threadStride);
                 EXPECT_EQ(ia.pattern.iterStride, ib.pattern.iterStride);
                 EXPECT_EQ(ia.pattern.elemBytes, ib.pattern.elemBytes);
-                EXPECT_NEAR(ia.pattern.scatterFrac,
-                            ib.pattern.scatterFrac, 1e-9);
+                EXPECT_EQ(ia.pattern.scatterFrac, ib.pattern.scatterFrac);
                 EXPECT_EQ(ia.pattern.scatterSpan, ib.pattern.scatterSpan);
             }
         }
@@ -83,6 +82,23 @@ TEST(KernelIo, RoundTripTransformedVariants)
                       SwPrefKind::Register, SwPrefKind::StrideIP}) {
         KernelDesc variant = w.variant(kind);
         expectSameKernel(variant, roundTrip(variant));
+    }
+}
+
+TEST(KernelIo, RoundTripKeepsEveryDigitOfScatterFrac)
+{
+    KernelDesc k = test::tinyStreamKernel(2, 4, 4, 2);
+    for (auto &inst : k.segments.front().insts) {
+        if (isMemOp(inst.op)) {
+            inst.pattern.scatterFrac = 1.0 / 3.0;
+            inst.pattern.scatterSpan = 1 << 20;
+        }
+    }
+    KernelDesc back = roundTrip(k);
+    for (const auto &inst : back.segments.front().insts) {
+        if (isMemOp(inst.op)) {
+            EXPECT_EQ(inst.pattern.scatterFrac, 1.0 / 3.0);
+        }
     }
 }
 

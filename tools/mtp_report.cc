@@ -11,7 +11,7 @@
  *       removed memory-stall cycles, and the measured effect checked
  *       against the MTAML prediction (paper Sec. IV)
  *   mtp-report diff <A.json> <B.json> [--gate <pct>]
- *       regression gate: exit 1 when B's cycles exceed A's by more
+ *       regression gate: exit 3 when B's cycles exceed A's by more
  *       than <pct> percent (default 0)
  *   mtp-report campaign show <BENCH_campaign.json>
  *       provenance + per-figure summary of a campaign manifest
@@ -19,16 +19,17 @@
  *       [--tol-rel <pct>] [--tol-abs <v>] [--tol <pattern>=<pct>]...
  *       figure-drift check against a golden snapshot under the
  *       per-metric tolerance schema (DESIGN.md §10); --gate makes
- *       drift exit 1
+ *       drift exit 3
  *   mtp-report host <host.jsonl>
  *       host-profiler report (DESIGN.md §11): per-worker busy/wait/
  *       idle fractions of the profiling window plus a self-time phase
  *       table, from the JSONL written by --host-profile
  *   --jsonl <events.jsonl>   attach a sampled time-series summary
  *
- * Exit status: 0 on success, 1 on a detected regression (diff mode),
- * gated figure drift (campaign diff --gate) or an input error such as
- * a malformed number (a `fatal:` line names it), 2 on usage errors.
+ * Exit status: 0 on success, 1 on an input error such as a missing
+ * file or a malformed number (a `fatal:` line names it), 2 on usage
+ * errors, 3 on a tripped gate: a detected regression (diff mode) or
+ * gated figure drift (campaign diff --gate).
  */
 
 #include <algorithm>
@@ -51,6 +52,9 @@ using namespace mtp;
 
 /** Upper bound of the real-valued flags: any finite number. */
 constexpr double kMax = std::numeric_limits<double>::max();
+
+/** Exit status of a tripped gate, distinct from input errors (1). */
+constexpr int kExitGate = 3;
 
 /** One loaded stats file. */
 struct Run
@@ -358,7 +362,7 @@ printDiff(const Run &a, const Run &b, double gatePct)
                     "(+%.0f absolute, +%.3f%% relative) exceeds the "
                     "%.3f%% gate by %.3f points\n",
                     ca, cb, cb - ca, delta, gatePct, delta - gatePct);
-        return 1;
+        return kExitGate;
     }
     std::printf("OK: sim.cycles within the %.3f%% gate (%+.3f%%)\n",
                 gatePct, delta);
@@ -449,7 +453,7 @@ campaignShow(const std::string &path)
 
 /**
  * `campaign diff`: compare a manifest against a golden snapshot under
- * the tolerance schema; with gate=true any drift exits 1.
+ * the tolerance schema; with gate=true any drift exits kExitGate.
  */
 int
 campaignDiff(const std::string &goldenPath,
@@ -478,7 +482,7 @@ campaignDiff(const std::string &goldenPath,
                 violations.size() == 1 ? "s" : "");
     for (const auto &v : violations)
         std::printf("  %s\n", v.describe().c_str());
-    return gate ? 1 : 0;
+    return gate ? kExitGate : 0;
 }
 
 /** Summarize a JSONL events file: counts + mean sampled stall mix. */
@@ -684,7 +688,7 @@ usage(const char *argv0)
         "usage: %s <mode> [args]\n"
         "  show <stats.json>...                stall-breakdown table\n"
         "  compare <baseline.json> <run.json>... speedup + MTAML check\n"
-        "  diff <A.json> <B.json> [--gate pct] regression gate (exit 1)\n"
+        "  diff <A.json> <B.json> [--gate pct] regression gate (exit 3)\n"
         "  campaign show <BENCH_campaign.json> manifest summary\n"
         "  campaign diff <golden> <current> [--gate] [--tol-rel pct]\n"
         "      [--tol-abs v] [--tol pattern=pct]... figure-drift check\n"
