@@ -1,9 +1,7 @@
 #include "bench/bench_common.hh"
 
-#include <algorithm>
 #include <climits>
 #include <cmath>
-#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 
@@ -41,9 +39,7 @@ parseArgs(int argc, char **argv, const std::vector<FlagSpec> &extra,
         if (arg == "--scale" && i + 1 < argc) {
             opts.scaleDiv = static_cast<unsigned>(
                 parseUint(arg, argv[++i], 1, UINT_MAX));
-            // Keep the throttle period proportional to run length.
-            opts.throttlePeriod =
-                std::max<Cycle>(1000, 40000 / opts.scaleDiv);
+            opts.throttlePeriod = scaledThrottlePeriod(opts.scaleDiv);
         } else if (arg == "--bench" && i + 1 < argc) {
             std::stringstream ss(argv[++i]);
             std::string name;
@@ -52,17 +48,13 @@ parseArgs(int argc, char **argv, const std::vector<FlagSpec> &extra,
         } else if (arg == "--jobs" && i + 1 < argc) {
             opts.jobs = static_cast<unsigned>(
                 parseUint(arg, argv[++i], 1, driver::kMaxJobs));
-        } else if (arg == "--sample-period" && i + 1 < argc) {
-            opts.samplePeriod =
-                parseUint(arg, argv[++i], 0, UINT64_MAX);
         } else if (arg == "--json" && i + 1 < argc) {
             opts.jsonOut = argv[++i];
         } else if (arg == "--quiet" || arg == "-q") {
             opts.quiet = true;
         } else if (arg == "--help" || arg == "-h") {
             std::printf("usage: %s [--scale N] [--bench a,b,...] "
-                        "[--jobs N] [--sample-period N] "
-                        "[--json file.json] "
+                        "[--jobs N] [--json file.json] "
                         "[--quiet]%s%s [key=value ...]\n",
                         argv[0], extraUsage.empty() ? "" : " ",
                         extraUsage.c_str());

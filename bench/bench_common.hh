@@ -21,6 +21,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "bench/provenance.hh"
 #include "mtprefetch/mtprefetch.hh"
 
 namespace mtp {
@@ -33,9 +34,8 @@ using RunFuture = std::shared_future<RunResult>;
 struct Options
 {
     unsigned scaleDiv = 8;      //!< grid divisor vs. the paper
-    Cycle throttlePeriod = 5000; //!< scaled from the paper's 100K
+    Cycle throttlePeriod = scaledThrottlePeriod(scaleDiv); //!< per --scale
     unsigned jobs = 0;          //!< worker threads (0 = all cores)
-    Cycle samplePeriod = 0;     //!< --sample-period (0 = no sampling)
     std::string jsonOut;        //!< --json machine-readable output path
     bool quiet = false;         //!< --quiet: suppress human tables
     std::vector<std::string> overrides; //!< SimConfig key=value pairs
@@ -54,11 +54,11 @@ struct FlagSpec
     std::function<void(const std::string &)> handler;
 };
 
-/** Parse argv; recognises --scale, --bench, --jobs, --sample-period,
- *  --json, --quiet, key=value overrides and any @p extra harness
- *  flags. Unknown flags and malformed numeric values are fatal with a
- *  consistent message across every harness. @p extraUsage is appended
- *  to the --help line. */
+/** Parse argv; recognises --scale, --bench, --jobs, --json, --quiet,
+ *  key=value overrides and any @p extra harness flags. Unknown flags
+ *  and malformed numeric values are fatal with a consistent message
+ *  across every harness. Harness runs are never observed, so there is
+ *  no --sample-period. @p extraUsage is appended to the --help line. */
 Options parseArgs(int argc, char **argv,
                   const std::vector<FlagSpec> &extra = {},
                   const std::string &extraUsage = "");
@@ -113,18 +113,11 @@ class Runner
     submit(const SimConfig &cfg, const KernelDesc &kernel)
     {
         recordFingerprint(cfg, kernel);
-        return cache_.submit(cfg, kernel, obsDefaults_);
+        return cache_.submit(cfg, kernel);
     }
 
     /** Worker threads actually in use. */
     unsigned jobs() const { return exec_.threads(); }
-
-    /**
-     * Observation attached to every run this Runner schedules (the
-     * campaign runner's live-progress forwarding). Like every
-     * ObsConfig it never enters the fingerprint or changes results.
-     */
-    void setObsDefaults(const obs::ObsConfig &ocfg) { obsDefaults_ = ocfg; }
 
     /** Submissions served from an existing cache entry. */
     std::uint64_t cacheHits() const { return cache_.hits(); }
@@ -150,7 +143,6 @@ class Runner
 
     driver::ParallelExecutor exec_;
     driver::RunCache cache_;
-    obs::ObsConfig obsDefaults_;
     std::vector<std::string> fps_;
     std::unordered_set<std::string> fpSeen_;
 };

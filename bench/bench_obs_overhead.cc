@@ -141,7 +141,7 @@ main(int argc, char **argv)
     // enqueue, prefetch issue/drop, DRAM enqueue/schedule/done, return
     // and throttle updates.
     SimConfig cfg;
-    cfg.throttlePeriod = std::max<Cycle>(1000, 40000 / scaleDiv);
+    cfg.throttlePeriod = bench::scaledThrottlePeriod(scaleDiv);
     cfg.hwPref = HwPrefKind::MTHWP;
     cfg.throttleEnable = true;
     Workload w = Suite::get("stream", scaleDiv);

@@ -125,11 +125,10 @@ collectProvenance(const Options &opts)
 // --- live progress ------------------------------------------------------
 
 void
-CampaignProgress::bind(const Runner *runner, Cycle period)
+CampaignProgress::bind(const Runner *runner)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     runner_ = runner;
-    period_ = period;
 }
 
 void
@@ -163,8 +162,6 @@ CampaignProgress::view() const
     v.figIndex = figIndex_;
     v.figTotal = figTotal_;
     v.figure = figure_;
-    v.samplePeriod = period_;
-    v.samples = samples_.load(std::memory_order_relaxed);
     if (runner_) {
         v.figSeconds =
             std::chrono::duration<double>(
@@ -205,15 +202,8 @@ runCampaign(const Options &opts, const std::vector<std::string> &only,
 
     Runner runner(opts);
     res.jobs = runner.jobs();
-    Cycle period =
-        opts.samplePeriod ? opts.samplePeriod : opts.throttlePeriod;
-    if (progress) {
-        obs::ObsConfig defaults;
-        defaults.samplePeriod = period;
-        defaults.forwardSink = progress;
-        runner.setObsDefaults(defaults);
-        progress->bind(&runner, period);
-    }
+    if (progress)
+        progress->bind(&runner);
 
     auto t0 = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < selected.size(); ++i) {

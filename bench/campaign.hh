@@ -22,7 +22,6 @@
 #ifndef MTP_BENCH_CAMPAIGN_HH
 #define MTP_BENCH_CAMPAIGN_HH
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -34,7 +33,6 @@
 
 #include "bench/bench_common.hh"
 #include "bench/provenance.hh"
-#include "obs/flight_recorder.hh"
 #include "obs/json.hh"
 
 namespace mtp {
@@ -172,13 +170,12 @@ struct CampaignResult
 };
 
 /**
- * Thread-safe live-progress aggregator. runCampaign() installs it as
- * the obs forwardSink of every run, so each §8 sampler boundary of
- * each concurrent simulation bumps the snapshot counters; a render
- * thread polls view() to draw the status line. All sink callbacks are
- * lock-free (relaxed atomics) — they run inside simulation workers.
+ * Thread-safe live-progress view of a campaign. runCampaign() binds it
+ * to its Runner and marks each figure; a render thread polls view(),
+ * which reads the Runner's counters, to draw the status line. Nothing
+ * here touches the simulations themselves.
  */
-class CampaignProgress : public obs::EventSink
+class CampaignProgress
 {
   public:
     struct View
@@ -188,8 +185,6 @@ class CampaignProgress : public obs::EventSink
         std::size_t figTotal = 0;
         std::string figure;
         double figSeconds = 0.0; //!< elapsed in the current figure
-        Cycle samplePeriod = 0;
-        std::uint64_t samples = 0; //!< sampler boundaries forwarded
         std::uint64_t hits = 0;
         std::uint64_t misses = 0;
         std::uint64_t executed = 0;
@@ -197,8 +192,8 @@ class CampaignProgress : public obs::EventSink
         std::uint64_t figStartExecuted = 0;
     };
 
-    /** Start publishing @p runner's counters; @p period = forward period. */
-    void bind(const Runner *runner, Cycle period);
+    /** Start publishing @p runner's counters. */
+    void bind(const Runner *runner);
 
     /** Mark the start of figure @p index of @p total named @p name. */
     void beginFigure(std::size_t index, std::size_t total,
@@ -209,38 +204,23 @@ class CampaignProgress : public obs::EventSink
 
     View view() const;
 
-    void
-    sample(Cycle now, const std::vector<double> &values) override
-    {
-        (void)now;
-        (void)values;
-        samples_.fetch_add(1, std::memory_order_relaxed);
-        // Campaign heartbeat: every sampler boundary of every live
-        // simulation proves forward progress to the hung-run watchdog.
-        obs::FlightRecorder::beat();
-    }
-
   private:
     mutable std::mutex mutex_;
     const Runner *runner_ = nullptr;
-    Cycle period_ = 0;
     std::size_t figIndex_ = 0;
     std::size_t figTotal_ = 0;
     std::string figure_;
     std::chrono::steady_clock::time_point figStart_{};
     std::uint64_t figStartMisses_ = 0;
     std::uint64_t figStartExecuted_ = 0;
-    std::atomic<std::uint64_t> samples_{0};
 };
 
 /**
  * Execute the registered specs (all of them, or the @p only subset)
  * through one shared Runner — cross-figure duplicate runs hit the one
  * RunCache — and collect the consolidated result. @p progress, when
- * non-null, receives bind/beginFigure/finish calls and is installed
- * as every run's sampler forwardSink (period = --sample-period, or
- * the scaled throttle period). @p onFigure fires after each figure
- * completes, before the next starts.
+ * non-null, receives bind/beginFigure/finish calls. @p onFigure fires
+ * after each figure completes, before the next starts.
  */
 CampaignResult
 runCampaign(const Options &opts, const std::vector<std::string> &only,

@@ -1,10 +1,17 @@
 #include "bench/provenance.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <unistd.h>
 
 namespace mtp {
 namespace bench {
+
+Cycle
+scaledThrottlePeriod(unsigned scaleDiv)
+{
+    return std::max<Cycle>(1000, 40000 / scaleDiv);
+}
 
 Provenance
 collectProvenance(unsigned scaleDiv, Cycle throttlePeriod,

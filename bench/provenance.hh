@@ -8,7 +8,9 @@
  * once against the no-obs simulator stack, and the two stacks define
  * the same symbols — still emit the exact same provenance block. The
  * library therefore depends only on mtp_common, which both stacks
- * already link; its JSON helpers are common/format.hh's.
+ * already link; its JSON helpers are common/format.hh's. For the same
+ * reason it holds the one scaled-throttle-period rule every harness
+ * shares.
  */
 
 #ifndef MTP_BENCH_PROVENANCE_HH
@@ -34,6 +36,13 @@ struct Provenance
     std::vector<std::string> overrides;
     std::vector<std::string> benchFilter;
 };
+
+/**
+ * The throttle period of a run at 1/@p scaleDiv of the paper's grids:
+ * 40000 / scaleDiv cycles, never below 1000, so the period stays
+ * proportional to run length.
+ */
+Cycle scaledThrottlePeriod(unsigned scaleDiv);
 
 /**
  * Collect the git SHA and hostname plus the passed knobs. Field-based

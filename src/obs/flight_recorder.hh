@@ -9,8 +9,8 @@
  *    engine loops keep current (per-run simulated cycle, executor
  *    queue depth). Updating a held gauge is one relaxed store.
  *  - Progress beats: a global counter bumped at coarse liveness
- *    points (every stepped simulated cycle that is a multiple of 128,
- *    every completed executor task, every campaign progress sample).
+ *    points: every cycle that is a multiple of 128 stepped by the
+ *    event-queue loop, and every completed executor task.
  *    A healthy engine beats continuously; a deadlocked or livelocked
  *    one stops.
  *  - Watchdog: a deadline thread that fires once when the beat

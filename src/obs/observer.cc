@@ -14,10 +14,6 @@ Observer::Observer(const ObsConfig &cfg) : cfg_(cfg)
         HostProfiler::enable();
         hostStartNs_ = HostProfiler::nowNs();
     }
-    if (cfg_.wantsTracer())
-        tracer_ = std::make_unique<TraceRecorder>(cfg_.wantsLifecycle(),
-                                                  true);
-
     if (!cfg_.timeSeriesCsv.empty()) {
         addSink(std::make_unique<CsvTimeSeriesSink>(cfg_.timeSeriesCsv),
                 /*forSampler=*/true, /*forTracer=*/false);
@@ -29,11 +25,6 @@ Observer::Observer(const ObsConfig &cfg) : cfg_(cfg)
     if (!cfg_.chromePath.empty()) {
         addSink(std::make_unique<ChromeTraceSink>(cfg_.chromePath),
                 /*forSampler=*/true, /*forTracer=*/true);
-    }
-    if (cfg_.forwardSink) {
-        // Borrowed: joins the sampler only, stays out of all_ so
-        // finish() never close()s it (it outlives this run).
-        sampler_.addSink(cfg_.forwardSink);
     }
 }
 
@@ -51,8 +42,13 @@ Observer::addSink(std::unique_ptr<EventSink> sink, bool forSampler,
     all_.push_back(raw);
     if (forSampler)
         sampler_.addSink(raw);
-    if (forTracer && tracer_)
+    if (forTracer) {
+        // The first event sink creates the tracer: no event sink, no
+        // lifecycle hooks.
+        if (!tracer_)
+            tracer_ = std::make_unique<TraceRecorder>();
         tracer_->addSink(raw);
+    }
 }
 
 CaptureSink *

@@ -1,8 +1,10 @@
 /**
  * @file
  * The per-run observability façade. An Observer owns the sinks chosen
- * by an ObsConfig, the periodic Sampler, and (when any event stream is
- * configured) the lifecycle TraceRecorder. The GPU registers its
+ * by an ObsConfig, the periodic Sampler, and the TraceRecorder. The
+ * tracer exists if and only if an event sink is attached (a JSONL or
+ * Chrome file, or a test's addCapture()), and then it records both the
+ * request-lifecycle and the throttle streams. The GPU registers its
  * probes against the sampler and hands the tracer pointer to the
  * components that emit lifecycle events; everything tears down
  * together in finish().
@@ -28,7 +30,7 @@
 namespace mtp {
 namespace obs {
 
-/** What to observe and where to write it. All off by default. */
+/** What to write and where. All off by default. */
 struct ObsConfig
 {
     /** Sample period in cycles; 0 disables periodic sampling. */
@@ -42,23 +44,6 @@ struct ObsConfig
 
     /** Chrome trace-event JSON output path ("" = off). */
     std::string chromePath;
-
-    /** Force the lifecycle stream on even with no file sink (tests). */
-    bool traceLifecycle = false;
-
-    /** Force the throttle stream on even with no file sink (tests). */
-    bool traceThrottle = false;
-
-    /**
-     * Borrowed sink that additionally receives the sampler stream
-     * (schema + rows). Only meaningful together with samplePeriod.
-     * The Observer never owns or close()s it, and it must be
-     * thread-safe: under the parallel driver many concurrent runs
-     * forward into the same sink (the campaign runner aggregates live
-     * progress this way). Like every ObsConfig field it never enters
-     * the run-cache fingerprint.
-     */
-    EventSink *forwardSink = nullptr;
 
     /**
      * Merge host-profiler tracks (DESIGN.md §11) into this run's
@@ -77,28 +62,12 @@ struct ObsConfig
 
     bool wantsSampling() const { return samplePeriod > 0; }
 
-    /** True when any event stream needs a TraceRecorder. */
-    bool
-    wantsTracer() const
-    {
-        return !jsonlPath.empty() || !chromePath.empty() ||
-               traceLifecycle || traceThrottle;
-    }
-
-    /** True when a request-lifecycle stream is wanted. */
-    bool
-    wantsLifecycle() const
-    {
-        return !jsonlPath.empty() || !chromePath.empty() ||
-               traceLifecycle;
-    }
-
-    /** Anything at all to do? The GPU skips all hooks when false. */
+    /** Anything at all to do? simulate() builds no Observer when false. */
     bool
     enabled() const
     {
-        return wantsSampling() || wantsTracer() ||
-               !timeSeriesCsv.empty() || hostProfile;
+        return wantsSampling() || !timeSeriesCsv.empty() ||
+               !jsonlPath.empty() || !chromePath.empty() || hostProfile;
     }
 };
 
@@ -117,12 +86,13 @@ class Observer
     Sampler &sampler() { return sampler_; }
     const Sampler &sampler() const { return sampler_; }
 
-    /** Null unless an event stream is configured. */
+    /** Null until an event sink (file or addCapture()) is attached. */
     TraceRecorder *tracer() { return tracer_.get(); }
 
     /**
      * Attach an in-memory capture sink (owned by the observer) that
-     * receives samples and trace events; call before the run starts.
+     * receives samples and trace events, creating the tracer if no
+     * file sink did; call before the Gpu is constructed.
      */
     CaptureSink *addCapture();
 

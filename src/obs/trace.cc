@@ -97,11 +97,6 @@ reqTypeName(std::uint8_t type)
     return "?";
 }
 
-TraceRecorder::TraceRecorder(bool lifecycle, bool throttle)
-    : lifecycle_(lifecycle), throttle_(throttle)
-{
-}
-
 void
 TraceRecorder::addSink(EventSink *sink)
 {
@@ -120,8 +115,6 @@ void
 TraceRecorder::coalesce(CoreId core, Addr leadAddr, std::uint8_t type,
                         std::size_t txns, Cycle now)
 {
-    if (!lifecycle_)
-        return;
     TraceEvent ev;
     ev.name = std::string("req:") + toString(Stage::Coalesce);
     ev.ph = 'i';
@@ -137,8 +130,6 @@ void
 TraceRecorder::stage(Stage s, Addr addr, std::uint8_t type, CoreId core,
                      unsigned channel, Cycle now)
 {
-    if (!lifecycle_)
-        return;
     MTP_ASSERT(s != Stage::Coalesce, "use coalesce() for that stage");
 
     auto [it, fresh] = inflight_.try_emplace(addr);
@@ -213,8 +204,6 @@ TraceRecorder::finalize(Addr addr, std::uint8_t type, CoreId core,
 void
 TraceRecorder::pref(PrefEvent evKind, Addr addr, CoreId core, Cycle now)
 {
-    if (!lifecycle_)
-        return;
     TraceEvent ev;
     ev.name = std::string("pref:") + toString(evKind);
     ev.ph = 'i';
@@ -230,8 +219,6 @@ TraceRecorder::throttleUpdate(CoreId core, Cycle now, std::uint64_t update,
                               std::uint64_t dUseful, double mergeRatio,
                               unsigned degree)
 {
-    if (!throttle_)
-        return;
     TraceEvent ev;
     ev.name = "throttle:update";
     ev.ph = 'i';
@@ -252,8 +239,6 @@ TraceRecorder::finish()
     if (finished_)
         return;
     finished_ = true;
-    if (!lifecycle_)
-        return;
     for (auto *sink : sinks_) {
         sink->histogram("latency.mrqWait", histMrq_);
         sink->histogram("latency.icntReq", histIcntReq_);

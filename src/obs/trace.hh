@@ -8,7 +8,7 @@
  * DRAM service, response network, total round trip).
  *
  * Zero cost when disabled: hot paths hold a TraceRecorder pointer that
- * stays null unless an event stream is configured, and every call site
+ * stays null unless an event sink is attached, and every call site
  * goes through MTP_OBS_HOOK — a null check when MTP_OBS_ENABLED (the
  * default), compiled out entirely with -DMTP_OBS_ENABLED=0.
  *
@@ -86,17 +86,8 @@ const char *reqTypeName(std::uint8_t type);
 class TraceRecorder
 {
   public:
-    /**
-     * @param lifecycle emit request/prefetch lifecycle streams
-     * @param throttle emit throttle period-update events
-     */
-    TraceRecorder(bool lifecycle, bool throttle);
-
     /** Attach a sink (borrowed; must outlive the recorder). */
     void addSink(EventSink *sink);
-
-    bool lifecycleEnabled() const { return lifecycle_; }
-    bool throttleEnabled() const { return throttle_; }
 
     /** A warp access was coalesced into @p txns transactions. */
     void coalesce(CoreId core, Addr leadAddr, std::uint8_t type,
@@ -138,8 +129,6 @@ class TraceRecorder
     void finalize(Addr addr, std::uint8_t type, CoreId core,
                   unsigned channel, Stage lastStage, Cycle now);
 
-    bool lifecycle_;
-    bool throttle_;
     bool finished_ = false;
     std::vector<EventSink *> sinks_;
 

@@ -77,7 +77,7 @@ Gpu::Gpu(const SimConfig &cfg, const KernelDesc &kernel,
     }
 
 #if MTP_OBS_ENABLED
-    if (obs && obs->config().enabled())
+    if (obs)
         attachObserver(obs);
 #else
     (void)obs;

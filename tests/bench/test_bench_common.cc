@@ -56,21 +56,12 @@ TEST(BenchCommon, ParseArgsRejectsBadNumbersNamingTheFlag)
                     "--jobs")
             << "'" << bad << "'";
     }
-    for (const char *bad : {"x", "-5", "18446744073709551616"}) {
-        EXPECT_EXIT(parseFlag("--sample-period", bad), ExitedWithCode(1),
-                    "--sample-period")
-            << "'" << bad << "'";
-    }
 }
 
 TEST(BenchCommon, ParseArgsAcceptsNumericBounds)
 {
     EXPECT_EQ(parseFlag("--scale", "4294967295").scaleDiv, 4294967295u);
     EXPECT_EQ(parseFlag("--jobs", "1024").jobs, driver::kMaxJobs);
-    EXPECT_EQ(parseFlag("--sample-period", "0").samplePeriod, 0u);
-    EXPECT_EQ(parseFlag("--sample-period", "18446744073709551615")
-                  .samplePeriod,
-              18446744073709551615ull);
 }
 
 TEST(BenchCommon, TraceOutIsNotAHarnessFlag)
@@ -78,6 +69,24 @@ TEST(BenchCommon, TraceOutIsNotAHarnessFlag)
     EXPECT_EXIT(parseFlag("--trace-out", "t.json"),
                 ::testing::ExitedWithCode(1),
                 "unknown argument '--trace-out'");
+}
+
+/** Harness runs are never observed; only mtp-sim samples. */
+TEST(BenchCommon, SamplePeriodIsNotAHarnessFlag)
+{
+    EXPECT_EXIT(parseFlag("--sample-period", "5"),
+                ::testing::ExitedWithCode(1),
+                "unknown argument '--sample-period'");
+}
+
+TEST(BenchCommon, ThrottlePeriodScalesWithTheGrid)
+{
+    EXPECT_EQ(Options().throttlePeriod, 5000u);
+    EXPECT_EQ(scaledThrottlePeriod(1), 40000u);
+    EXPECT_EQ(scaledThrottlePeriod(8), 5000u);
+    EXPECT_EQ(scaledThrottlePeriod(32), 1250u);
+    EXPECT_EQ(scaledThrottlePeriod(64), 1000u); // floor, not 625
+    EXPECT_EQ(parseFlag("--scale", "16").throttlePeriod, 2500u);
 }
 
 /** --watchdog-sec as mtp-sim and mtp-campaign read it. */

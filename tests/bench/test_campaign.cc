@@ -2,9 +2,10 @@
  * @file
  * The campaign layer's contracts: manifests round-trip through the
  * obs JSON parser, the golden-snapshot gate passes on itself and
- * fails with a named metric when perturbed, and a two-harness
+ * fails with a named metric when perturbed, a two-harness
  * mini-campaign writes a byte-identical manifest at every --jobs
- * setting (the "session" block excluded).
+ * setting (the "session" block excluded), and live progress reads the
+ * shared Runner.
  */
 
 #include <gtest/gtest.h>
@@ -188,6 +189,35 @@ TEST(Campaign, GateFlagsStructuralDrift)
     ASSERT_FALSE(violations.empty());
     EXPECT_EQ(violations[0].kind, DiffViolation::Kind::Structure);
     EXPECT_EQ(violations[0].path, "fig11_swp_throttle");
+}
+
+/**
+ * Live progress reads the Runner: when a figure completes, the view
+ * names it and every scheduled run has executed; once runCampaign()
+ * returns the view is inactive.
+ */
+TEST(Campaign, ProgressReadsTheRunner)
+{
+    Options opts = miniOptions();
+    opts.jobs = 2;
+    CampaignProgress progress;
+    unsigned figures = 0;
+    CampaignResult res = runCampaign(
+        opts, {"tab03_characteristics"}, &progress,
+        [&](const FigureRun &f) {
+            ++figures;
+            CampaignProgress::View v = progress.view();
+            EXPECT_TRUE(v.active);
+            EXPECT_EQ(v.figure, "tab03_characteristics");
+            EXPECT_EQ(v.figIndex, 0u);
+            EXPECT_EQ(v.figTotal, 1u);
+            EXPECT_GT(v.misses, 0u);
+            EXPECT_EQ(v.executed, v.misses);
+            EXPECT_EQ(v.misses - v.figStartMisses, f.fingerprints.size());
+        });
+    EXPECT_EQ(figures, 1u);
+    EXPECT_FALSE(progress.view().active);
+    EXPECT_EQ(res.cacheMisses, res.figures[0].fingerprints.size());
 }
 
 TEST(Campaign, ManifestByteIdenticalAcrossJobs)

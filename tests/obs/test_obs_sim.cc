@@ -80,9 +80,9 @@ TEST(ObsSim, ObservationPreservesResults)
 
             obs::ObsConfig ocfg;
             ocfg.samplePeriod = 137;
-            ocfg.traceLifecycle = true;
-            ocfg.traceThrottle = true;
             obs::Observer observer(ocfg);
+            // The capture sink creates the tracer: lifecycle and
+            // throttle events flow as well as samples.
             obs::CaptureSink *cap = observer.addCapture();
             Gpu gpu(cfg, kernel, &observer);
             RunResult observed = gpu.run();
@@ -320,9 +320,8 @@ TEST(ObsSim, JsonlStreamParsesLineByLine)
 
 TEST(ObsSim, ThrottleEventsFlowThroughSinkApi)
 {
-    obs::ObsConfig ocfg;
-    ocfg.traceThrottle = true;
-    obs::Observer observer(ocfg);
+    // Capture only: no samplePeriod and no file sink.
+    obs::Observer observer(obs::ObsConfig{});
     obs::CaptureSink *cap = observer.addCapture();
     SimConfig cfg = observedConfig();
     Gpu gpu(cfg, observedKernels()[0].second, &observer);

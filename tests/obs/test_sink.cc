@@ -3,7 +3,8 @@
  * Sink output formats: the CSV time series, the JSONL record stream
  * (every line must parse as one JSON object), the Chrome trace-event
  * file (must validate against the schema checker), per-run path
- * derivation and the TraceRecorder's event/histogram plumbing.
+ * derivation, the TraceRecorder's event/histogram plumbing, and which
+ * Observer outputs create a tracer.
  */
 
 #include <gtest/gtest.h>
@@ -217,7 +218,7 @@ TEST(ChromeTraceSink, EmptyTraceIsValid)
 
 TEST(TraceRecorder, LoadLifecycleFeedsHistograms)
 {
-    TraceRecorder rec(/*lifecycle=*/true, /*throttle=*/true);
+    TraceRecorder rec;
     CaptureSink cap;
     rec.addSink(&cap);
 
@@ -259,7 +260,7 @@ TEST(TraceRecorder, LoadLifecycleFeedsHistograms)
 
 TEST(TraceRecorder, StoreCompletesAtController)
 {
-    TraceRecorder rec(/*lifecycle=*/true, /*throttle=*/false);
+    TraceRecorder rec;
     const Addr addr = 0x2000;
     rec.stage(Stage::MrqEnqueue, addr, 1, 0, 0, 5);
     rec.stage(Stage::DramSchedule, addr, 1, 0, 0, 20);
@@ -269,20 +270,58 @@ TEST(TraceRecorder, StoreCompletesAtController)
     EXPECT_EQ(rec.histIcntResp().count(), 0u); // stores send no reply
 }
 
-TEST(TraceRecorder, DisabledStreamsEmitNothing)
+TEST(TraceRecorder, RecordsLifecycleAndThrottleStreams)
 {
-    TraceRecorder rec(/*lifecycle=*/false, /*throttle=*/true);
+    TraceRecorder rec;
     CaptureSink cap;
     rec.addSink(&cap);
+    rec.coalesce(0, 0x1000, 0, 2, 1);
     rec.stage(Stage::MrqEnqueue, 0x1000, 0, 0, 0, 1);
     rec.pref(PrefEvent::Issued, 0x1000, 0, 1);
-    rec.coalesce(0, 0x1000, 0, 2, 1);
-    EXPECT_TRUE(cap.events.empty());
     rec.throttleUpdate(0, 100, 1, 2, 3, 4, 0.5, 2);
-    ASSERT_EQ(cap.events.size(), 1u);
-    EXPECT_EQ(cap.events[0].name, "throttle:update");
-    rec.finish(); // lifecycle off: no histogram records either
-    EXPECT_TRUE(cap.histograms.empty());
+    ASSERT_EQ(cap.events.size(), 4u);
+    EXPECT_EQ(cap.events[0].name, "req:coalesce");
+    EXPECT_EQ(cap.events[1].name, "req:mrq_enq");
+    EXPECT_EQ(cap.events[2].name, "pref:issued");
+    EXPECT_EQ(cap.events[3].name, "throttle:update");
+    rec.finish();
+    EXPECT_EQ(cap.histograms.size(), 6u);
+}
+
+/**
+ * What is observed follows from the outputs: sampling and the CSV
+ * time series need no tracer, and the first event sink (JSONL, Chrome
+ * or a capture) creates it.
+ */
+TEST(Observer, TracerExistsIffAnEventSinkIsAttached)
+{
+    ObsConfig sampling;
+    sampling.samplePeriod = 100;
+    EXPECT_EQ(Observer(sampling).tracer(), nullptr);
+
+    ObsConfig csv;
+    csv.samplePeriod = 100;
+    csv.timeSeriesCsv = scratchPath("tracer.csv");
+    EXPECT_EQ(Observer(csv).tracer(), nullptr);
+
+    ObsConfig jsonl;
+    jsonl.jsonlPath = scratchPath("tracer.jsonl");
+    EXPECT_NE(Observer(jsonl).tracer(), nullptr);
+
+    ObsConfig chrome;
+    chrome.chromePath = scratchPath("tracer.json");
+    EXPECT_NE(Observer(chrome).tracer(), nullptr);
+
+    Observer captured(sampling);
+    captured.addCapture();
+    TraceRecorder *tracer = captured.tracer();
+    ASSERT_NE(tracer, nullptr);
+    captured.addCapture(); // a second sink joins the same tracer
+    EXPECT_EQ(captured.tracer(), tracer);
+
+    for (const auto *path : {&csv.timeSeriesCsv, &jsonl.jsonlPath,
+                             &chrome.chromePath})
+        std::remove(path->c_str());
 }
 
 TEST(PerRunPath, InsertsTagBeforeExtension)

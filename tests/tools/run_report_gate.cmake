@@ -7,8 +7,9 @@
 # golden workload, checks the report modes run clean on real inputs,
 # gates the fresh run against the checked-in golden snapshot, and
 # verifies a known-regressed snapshot actually trips the gate (exit 3,
-# distinct from an input error's 1). Last, malformed numeric flags
-# must exit 1 with a message naming the flag.
+# distinct from an input error's 1). Malformed numeric flags must exit
+# 1 with a message naming the flag. A passing run then deletes the
+# fresh artifacts.
 
 foreach(var MTP_SIM MTP_REPORT BENCH_OBS_OVERHEAD DATA_DIR WORK_DIR)
     if(NOT DEFINED ${var})
@@ -72,3 +73,12 @@ run_step(1 MATCH "--gate expects"
 run_step(1 MATCH "--tol-rel expects"
     ${MTP_REPORT} campaign diff a b --tol-rel x)
 run_step(1 MATCH "--scale expects" ${BENCH_OBS_OVERHEAD} --scale abc)
+
+# 7. A passing run leaves none of step 1's artifacts in the build tree
+#    (the JSONL and Chrome files are ~90 MB each). A failing step
+#    stops above this line, so its files stay for diagnosis.
+file(REMOVE
+    ${WORK_DIR}/report_gate_fresh.json
+    ${WORK_DIR}/report_gate_fresh.jsonl
+    ${WORK_DIR}/report_gate_fresh.csv
+    ${WORK_DIR}/report_gate_fresh.trace.json)

@@ -11,10 +11,10 @@
  * block with wall-clock and cache statistics.
  *
  * While the campaign runs, a live status line on stderr (when stderr
- * is a terminal) streams the §8 sampler forwarding: figure progress,
+ * is a terminal) reads the shared Runner's counters: figure progress,
  * runs completed vs. scheduled, in-flight count, cache-hit total and
- * simulated-cycle throughput. Each completed figure prints its table
- * to stdout unless --quiet.
+ * elapsed time. No run is observed for it. Each completed figure
+ * prints its table to stdout unless --quiet.
  *
  * The two self-timing harnesses (bench_simrate, bench_obs_overhead)
  * measure wall-clock performance, which no shared-executor run can do
@@ -30,7 +30,6 @@
  *                  --quiet, key=value overrides)
  */
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -70,18 +69,15 @@ statusLine(const CampaignProgress::View &v, double totalSeconds)
     std::uint64_t figDone = v.executed - v.figStartExecuted;
     std::uint64_t figSched = v.misses - v.figStartMisses;
     std::uint64_t inFlight = v.misses - v.executed;
-    double gcycles = static_cast<double>(v.samples) *
-                     static_cast<double>(v.samplePeriod) / 1e9;
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "[%zu/%zu] %-22s runs %llu/%llu (%llu in flight) | "
-                  "%llu cache hits | %.2f Gcyc sampled | %.1fs",
+                  "%llu cache hits | %.1fs",
                   v.figIndex + 1, v.figTotal, v.figure.c_str(),
                   static_cast<unsigned long long>(figDone),
                   static_cast<unsigned long long>(figSched),
                   static_cast<unsigned long long>(inFlight),
-                  static_cast<unsigned long long>(v.hits), gcycles,
-                  totalSeconds);
+                  static_cast<unsigned long long>(v.hits), totalSeconds);
     return buf;
 }
 
@@ -260,7 +256,7 @@ main(int argc, char **argv)
         // 1/64 geometry and a class-covering benchmark subset keep the
         // full figure set under a minute on one core.
         opts.scaleDiv = 64;
-        opts.throttlePeriod = std::max<Cycle>(1000, 40000 / 64);
+        opts.throttlePeriod = scaledThrottlePeriod(opts.scaleDiv);
         if (opts.benchmarks.empty())
             opts.benchmarks = {"scalar", "stream", "backprop", "cfd"};
     }
@@ -269,8 +265,8 @@ main(int argc, char **argv)
 
     // Host observability (DESIGN.md §11): the profiler window opens
     // before the Runner spawns its executor so worker threads name
-    // themselves; the watchdog's heartbeat comes from executor tasks
-    // and every simulation's sampler boundaries (CampaignProgress).
+    // themselves; the watchdog's heartbeat comes from every finished
+    // executor task and from each running simulation's cycle loop.
     if (hostProfile) {
         obs::HostProfiler::enable();
         obs::HostProfiler::nameThread("main");
